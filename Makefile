@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race chaos fuzz bench
+.PHONY: build test check vet race chaos fuzz bench bench-smoke
 
 build:
 	$(GO) build ./...
@@ -22,10 +22,15 @@ check:
 chaos:
 	$(GO) run ./cmd/chaosrunner -seeds 1000
 
-# fuzz gives each transport codec fuzz target a short budget.
+# fuzz gives every fuzz target (the list ci.sh also runs) a short budget.
 fuzz:
-	$(GO) test ./internal/transport -run=XXX -fuzz=FuzzDecode$$ -fuzztime=30s
-	$(GO) test ./internal/transport -run=XXX -fuzz=FuzzDecodeTuple -fuzztime=30s
+	./fuzz.sh 30s
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=XXX .
+
+# bench-smoke vets and smoke-tests the cross-process benchmark, which is
+# its own module under benchmark/ (ci.sh's "benchmark smoke" stage).
+bench-smoke:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./... -count=1

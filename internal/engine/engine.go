@@ -78,12 +78,6 @@ type Config struct {
 	// memory-only. Nil disables spilling entirely — history past the
 	// memory budget is then dropped (and counted) as before.
 	CPSpill func(p query.Port) stream.Spill
-	// SerialKernels forces per-tuple operator dispatch (Process) even for
-	// operators exposing a batch kernel, reproducing the pre-batching
-	// execution path. It exists for the CI hot-path guard and for
-	// debugging kernel/serial divergence; production configs leave it
-	// false. The deterministic virtual-clock path is always serial.
-	SerialKernels bool
 }
 
 // OutputFn receives tuples delivered to a named application output.
@@ -95,9 +89,10 @@ type OutputFn func(name string, t stream.Tuple)
 // run a worker pool (RunParallel) where the scheduler dispatches
 // conflict-free box trains to idle workers — a box instance is owned by
 // at most one worker at a time, so operators stay single-threaded
-// internally. Ingest is safe to call concurrently with either path; the
-// serial control methods (Step, RunUntilIdle, Drain) must not themselves
-// be called from multiple goroutines at once.
+// internally. Both drive the one train body, runTrain. Ingest is safe to
+// call concurrently with either; the serial control methods (Step,
+// RunUntilIdle, Drain) must not themselves be called from multiple
+// goroutines at once.
 type Engine struct {
 	net    *query.Network
 	clock  Clock
@@ -189,9 +184,6 @@ type Engine struct {
 	// push/pop so storage accounting never walks every queue.
 	qBytes atomic.Int64
 
-	// serialKernels disables batch-kernel dispatch (Config.SerialKernels).
-	serialKernels bool
-
 	onOutput OutputFn
 	ingested atomic.Uint64
 	seq      atomic.Uint64
@@ -210,15 +202,15 @@ type boxState struct {
 	inst       op.Operator
 	inQ        []*entryQueue
 	downstream [][]route // per output port
-	emit       op.Emit
 
 	// kernel is the operator's batch entry point when it implements
-	// op.TrainProcessor (nil otherwise), and consumes caches the
-	// op.Consumer assertion — both resolved once at construction so the
-	// train loop pays no per-train type assertions. refreshInst must be
-	// called whenever inst is swapped.
+	// op.TrainProcessor (nil otherwise); consumes and timed cache the
+	// op.Consumer and op.TimeDriven assertions — all resolved once at
+	// construction so the train loop pays no per-train type assertions.
+	// refreshInst must be called whenever inst is swapped.
 	kernel   op.TrainProcessor
 	consumes bool
+	timed    bool
 
 	// cpH and taps are the per-output-port connection-point caches: the
 	// retained history (nil for non-CP ports) and the ad hoc tap list
@@ -258,12 +250,13 @@ type boxState struct {
 	// dispatcher lock orders those accesses.
 	cur *trace.Span
 
-	// eb and collect are the batch path's emission buffer: collect is a
-	// fixed closure that appends (port, tuple) to eb, and eb points at a
-	// pooled emitBuf only for the duration of one untraced train. The
-	// train's emissions are then routed in same-port runs by flushEmits —
-	// one clock read, one downstream lock, one accounting update per run.
-	// Only the box's current owner touches either field.
+	// eb and collect are the box's emission buffer: collect is the one
+	// op.Emit the operator is ever handed, a fixed closure that appends
+	// (port, tuple) to eb, and eb points at a pooled emitBuf between
+	// openEmit and closeEmit. The buffered emissions are routed in
+	// same-port runs by flushEmits — one clock read, one downstream lock,
+	// one accounting update per run. Only the box's current owner touches
+	// either field.
 	eb      *emitBuf
 	collect op.Emit
 }
@@ -273,11 +266,19 @@ type boxState struct {
 func (b *boxState) refreshInst() {
 	b.kernel, _ = b.inst.(op.TrainProcessor)
 	_, b.consumes = b.inst.(op.Consumer)
+	_, b.timed = b.inst.(op.TimeDriven)
 	if b.collect == nil {
 		// Built once, not per train: a method-value conversion per train
-		// would allocate. The untraced lane never consults b.cur, so the
-		// closure skips the span-inheritance branch makeEmit carries.
-		b.collect = func(port int, t stream.Tuple) { b.eb.add(port, t) }
+		// would allocate.
+		b.collect = func(port int, t stream.Tuple) {
+			if t.Span == nil {
+				// Derived tuples (window aggregates, joins) inherit the
+				// span of the tuple being processed; nil outside a traced
+				// chunk.
+				t.Span = b.cur
+			}
+			b.eb.add(port, t)
+		}
 	}
 }
 
@@ -317,7 +318,6 @@ func New(net *query.Network, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: Workers=%d with a VirtualClock: the deterministic virtual-time path is serial by design", cfg.Workers)
 	}
 	e.workers = cfg.Workers
-	e.serialKernels = cfg.SerialKernels
 	e.sched = cfg.Scheduler
 	if e.sched == nil {
 		e.sched = NewTrainScheduler(DefaultMaxTrain)
@@ -378,7 +378,7 @@ func New(net *query.Network, cfg Config) (*Engine, error) {
 		b.taps = make([]atomic.Pointer[[]op.Emit], inst.NumOut())
 		boxes[id] = b
 		topo = append(topo, b)
-		if _, ok := inst.(op.TimeDriven); ok {
+		if b.timed {
 			// Only time-driven operators (WSort timeouts) do work in
 			// Advance; sweeping every box after every train was O(boxes)
 			// of no-op virtual calls.
@@ -428,12 +428,6 @@ func New(net *query.Network, cfg Config) (*Engine, error) {
 		}
 	}
 
-	// Per-box emit closures (the Router of Fig 3). This is the serial
-	// path; parallel workers buffer emits per worker and merge them
-	// through routeEmit afterwards.
-	for _, b := range boxes {
-		b.emit = e.makeEmit(b)
-	}
 	e.snapPtr.Store(&topoSnap{boxes: topo, timed: timed, byID: boxes})
 
 	// Shedder, with per-box drop attribution: one counter per destination
@@ -495,50 +489,6 @@ func New(net *query.Network, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// makeEmit builds a box's serial emit closure (the Router of Fig 3);
-// partition replicas and merge boxes get the same closure shape when a
-// split attaches them at runtime.
-func (e *Engine) makeEmit(b *boxState) op.Emit {
-	return func(port int, t stream.Tuple) {
-		b.outCount.Add(1)
-		if t.Span == nil {
-			// Derived tuples (window aggregates, joins) inherit the
-			// span of the tuple being processed.
-			t.Span = b.cur
-		}
-		e.routeEmit(b, port, 0, t, e.clock.Now())
-	}
-}
-
-// routeEmit is the router half of a box emission shared by the serial
-// emit closure and the parallel merge: connection-point history, ad hoc
-// taps, the span's processing mark (attributed to worker when non-zero),
-// then delivery to the downstream routes.
-func (e *Engine) routeEmit(b *boxState, port, worker int, t stream.Tuple, now int64) {
-	if port < len(b.cpH) {
-		if h := b.cpH[port]; h != nil {
-			// The history retains the tuple beyond its delivery lifetime,
-			// so a pool-owned Vals must be surrendered to the GC.
-			t.Disown()
-			added := t.MemSize()
-			e.cpMu.Lock()
-			delta, dropped := h.Add(t)
-			e.cpMu.Unlock()
-			e.noteCPAdd(b, port, added, delta, dropped)
-		}
-		if tl := b.taps[port].Load(); tl != nil {
-			// Taps are arbitrary consumers (often another engine's
-			// Ingest); they may retain, so ownership cannot cross here.
-			t.Disown()
-			for _, tap := range *tl {
-				tap(0, t)
-			}
-		}
-	}
-	t.Span.MarkReplica(trace.KindProc, b.id, worker, b.replica, now)
-	e.deliver(b.downstream[port], t, now)
-}
-
 // noteCPAdd charges a connection-point retention to storage accounting —
 // the fix for history bytes being invisible to spill pressure: added is
 // the retained tuples' footprint, delta the net in-memory change after
@@ -582,87 +532,34 @@ func (e *Engine) EndResync() { e.resyncDepth.Add(-1) }
 // connection-point histories (also "cp.evicted" in the metrics registry).
 func (e *Engine) CPEvicted() int64 { return e.cpEvictCtr.Value() }
 
-// deliver routes a tuple to a set of targets: box queues or outputs. The
-// caller supplies now so that a traced tuple's final Proc mark and the
-// monitor's latency observation share one timestamp — the decomposition
-// then sums to the monitored latency exactly, not merely approximately.
-func (e *Engine) deliver(targets []route, t stream.Tuple, now int64) {
-	if len(targets) > 1 {
-		// Fan-out: every copy shares the Vals backing array, so no single
-		// death point can prove the buffer dead — surrender it to the GC.
-		t.Disown()
-	}
-	first := true
-	for _, r := range targets {
-		tt := t
-		if !first {
-			// A span follows exactly one path: fan-out copies would all
-			// mark the same shared span and corrupt its accounting.
-			tt.Span = nil
-		}
-		first = false
-		if r.out != nil {
-			r.out.observe(tt, now)
-			e.delCtr.Inc()
-			if sp := tt.Span; sp != nil && !sp.Done() && !r.out.relay {
-				if e.tracer != nil {
-					e.tracer.Complete(sp, r.out.name, now)
-				} else {
-					// Traced upstream, delivered on an untraced node:
-					// still close the span so the decomposition is whole.
-					sp.Finish(r.out.name, now)
-				}
-				if e.traceQ != nil {
-					q, p, nn := sp.Components()
-					e.traceQ.Observe(float64(q))
-					e.traceP.Observe(float64(p))
-					e.traceN.Observe(float64(nn))
-				}
-				if r.out.lat != nil {
-					// Tail attribution evidence: the finished span's
-					// queue/proc/net stages, kept only when the latency
-					// clears the output's tail cut.
-					r.out.noteTail(sp)
-				}
-			}
-			if e.onOutput != nil {
-				// The callback (often the distributed layer's forwarder)
-				// may retain the tuple; ownership ends here.
-				tt.Disown()
-				e.onOutput(r.out.name, tt)
-			} else {
-				// Terminal delivery with no retaining consumer: the tuple
-				// is dead, and a pool-owned Vals goes back to the freelist.
-				tt.Recycle()
-			}
-			continue
-		}
-		size := tt.MemSize()
-		if p := r.box.part.Load(); p != nil && p.admit(tt, now, size) {
-			// The box is split: the tuple went to the key-owning replica
-			// instead of the parent queue (the hash-partitioning route
-			// step of §5.1).
-			e.storage.NoteEnqueue(size, int(e.qBytes.Add(int64(size))))
-			continue
-		}
-		r.box.inQ[r.port].PushSized(tt, now, size)
-		e.storage.NoteEnqueue(size, int(e.qBytes.Add(int64(size))))
-	}
+// openEmit points the box's collecting emit at a pooled buffer; closeEmit
+// routes whatever is still buffered and returns the buffer, which every
+// flush leaves empty. Every operator entry point that can emit —
+// Process/ProcessTrain, Advance, Flush — runs between the two, so there is
+// one emission path. Only the box's owner calls either.
+func (e *Engine) openEmit(b *boxState) { b.eb = emitBufPool.Get().(*emitBuf) }
+
+func (e *Engine) closeEmit(b *boxState, worker int) {
+	e.flushEmits(b, worker)
+	emitBufPool.Put(b.eb)
+	b.eb = nil
 }
 
-// flushEmits routes one untraced train's buffered emissions. Consecutive
-// same-port emissions — the common case: most operators have one output
-// port — travel as a single run through routeEmitTrain, so the per-tuple
-// costs of the emit path (output-count increment, clock read, downstream
-// queue lock, byte accounting, monitor lock) are paid once per run.
-// Ordering is preserved: runs flush in emission order, and only one train
-// executes per box at a time, so per-(box,port) FIFO holds exactly as it
-// did with immediate per-emission routing.
-func (e *Engine) flushEmits(b *boxState, worker int, eb *emitBuf, now int64) {
+// flushEmits routes the box's buffered emissions and empties the buffer.
+// Consecutive same-port emissions — the common case: most operators have
+// one output port — travel as a single run through routeEmitTrain, so the
+// per-tuple costs of the emit path (output-count increment, clock read,
+// downstream queue lock, byte accounting, monitor lock) are paid once per
+// run. Ordering is preserved: runs flush in emission order, and only one
+// train executes per box at a time, so per-(box,port) FIFO holds exactly
+// as it would with immediate per-emission routing.
+func (e *Engine) flushEmits(b *boxState, worker int) {
+	eb := b.eb
 	n := len(eb.ts)
 	if n == 0 {
 		return
 	}
+	now := e.clock.Now()
 	b.outCount.Add(int64(n))
 	for i := 0; i < n; {
 		port := eb.ports[i]
@@ -673,28 +570,35 @@ func (e *Engine) flushEmits(b *boxState, worker int, eb *emitBuf, now int64) {
 		e.routeEmitTrain(b, port, worker, eb.ts[i:j], now)
 		i = j
 	}
+	eb.reset()
 }
 
-// routeEmitTrain is routeEmit over a same-port emission run. The span
-// mark is unconditional per tuple — MarkReplica is nil-receiver-safe, and
-// untraced trains can still re-emit span-carrying tuples (WSort flushes
-// buffered tuples admitted in earlier, traced trains).
+// routeEmitTrain is the Router of Fig 3 over a same-port emission run:
+// connection-point history, ad hoc taps, the spans' processing mark
+// (attributed to worker when non-zero), then delivery to the downstream
+// routes. The span mark is unconditional per tuple — MarkReplica is
+// nil-receiver-safe, and untraced trains can still re-emit span-carrying
+// tuples (WSort flushes buffered tuples admitted in earlier, traced
+// trains).
 func (e *Engine) routeEmitTrain(b *boxState, port, worker int, ts []stream.Tuple, now int64) {
 	if port < len(b.cpH) {
 		if h := b.cpH[port]; h != nil {
-			var added, delta, dropped int
 			e.cpMu.Lock()
 			for i := range ts {
+				// The history retains the tuple beyond its delivery
+				// lifetime, so a pool-owned Vals must be surrendered to
+				// the GC. Accounting stays per tuple: eviction makes the
+				// running footprint non-monotone within a run, and the
+				// storage manager's high-water mark is taken over it.
 				ts[i].Disown()
-				added += ts[i].MemSize()
-				d, dr := h.Add(ts[i])
-				delta += d
-				dropped += dr
+				delta, dropped := h.Add(ts[i])
+				e.noteCPAdd(b, port, ts[i].MemSize(), delta, dropped)
 			}
 			e.cpMu.Unlock()
-			e.noteCPAdd(b, port, added, delta, dropped)
 		}
 		if tl := b.taps[port].Load(); tl != nil {
+			// Taps are arbitrary consumers (often another engine's
+			// Ingest); they may retain, so ownership cannot cross here.
 			for i := range ts {
 				ts[i].Disown()
 				for _, tap := range *tl {
@@ -709,40 +613,67 @@ func (e *Engine) routeEmitTrain(b *boxState, port, worker int, ts []stream.Tuple
 	e.deliverTrain(b.downstream[port], ts, now)
 }
 
-// deliverTrain delivers a same-port emission run. Fan-out and active
-// splits keep the per-tuple deliver (copy semantics and key hashing are
-// inherently per tuple); the two hot shapes — a single downstream box,
-// or a terminal output — take batch lanes: one PushTrain/NoteEnqueue per
-// run, or one monitor lock per run.
+// deliverTrain delivers a run of tuples to a set of targets, one target
+// at a time: a box queue takes the run under one lock, an output under one
+// monitor update. The caller owns ts (an emission buffer, or Ingest's
+// one-tuple array) and supplies now, so that a traced tuple's final Proc
+// mark and the monitor's latency observation share one timestamp — the
+// decomposition then sums to the monitored latency exactly, not merely
+// approximately.
 func (e *Engine) deliverTrain(targets []route, ts []stream.Tuple, now int64) {
-	if len(targets) != 1 {
+	if len(targets) > 1 {
+		// Fan-out: every copy shares the Vals backing array, so no single
+		// death point can prove the buffer dead — surrender it to the GC.
 		for i := range ts {
-			e.deliver(targets, ts[i], now)
+			ts[i].Disown()
 		}
-		return
 	}
-	r := targets[0]
-	if r.out == nil {
-		if r.box.part.Load() != nil {
-			// Split active: each tuple hashes to its key-owning replica.
+	for k, r := range targets {
+		if k == 1 {
+			// A span follows exactly one path, the first: fan-out copies
+			// would all mark the same shared span and corrupt its
+			// accounting.
 			for i := range ts {
-				e.deliver(targets, ts[i], now)
+				ts[i].Span = nil
 			}
-			return
+		}
+		if r.out != nil {
+			e.deliverOutput(r.out, ts, now)
+			continue
+		}
+		if p := r.box.part.Load(); p != nil {
+			// The box is split: each tuple goes to its key-owning replica
+			// (the hash-partitioning route step of §5.1) — or to the
+			// parent queue when an un-split's flip got there first.
+			for i := range ts {
+				size := ts[i].MemSize()
+				if !p.admit(ts[i], now, size) {
+					r.box.inQ[r.port].PushSized(ts[i], now, size)
+				}
+				e.storage.NoteEnqueue(size, int(e.qBytes.Add(int64(size))))
+			}
+			continue
 		}
 		total := r.box.inQ[r.port].PushTrain(ts, now)
-		e.storage.NoteEnqueue(total, int(e.qBytes.Add(int64(total))))
-		return
+		e.storage.noteEnqueueTrain(ts, total, int(e.qBytes.Add(int64(total))))
 	}
-	r.out.observeTrain(ts, now)
+}
+
+// deliverOutput hands a run to an application output: the QoS monitor
+// observes it, traced spans complete, and each tuple reaches the output
+// callback or dies.
+func (e *Engine) deliverOutput(os *outputState, ts []stream.Tuple, now int64) {
+	os.observeTrain(ts, now)
 	e.delCtr.Add(int64(len(ts)))
 	for i := range ts {
 		tt := ts[i]
-		if sp := tt.Span; sp != nil && !sp.Done() && !r.out.relay {
+		if sp := tt.Span; sp != nil && !sp.Done() && !os.relay {
 			if e.tracer != nil {
-				e.tracer.Complete(sp, r.out.name, now)
+				e.tracer.Complete(sp, os.name, now)
 			} else {
-				sp.Finish(r.out.name, now)
+				// Traced upstream, delivered on an untraced node: still
+				// close the span so the decomposition is whole.
+				sp.Finish(os.name, now)
 			}
 			if e.traceQ != nil {
 				q, p, nn := sp.Components()
@@ -750,14 +681,21 @@ func (e *Engine) deliverTrain(targets []route, ts []stream.Tuple, now int64) {
 				e.traceP.Observe(float64(p))
 				e.traceN.Observe(float64(nn))
 			}
-			if r.out.lat != nil {
-				r.out.noteTail(sp)
+			if os.lat != nil {
+				// Tail attribution evidence: the finished span's
+				// queue/proc/net stages, kept only when the latency
+				// clears the output's tail cut.
+				os.noteTail(sp)
 			}
 		}
 		if e.onOutput != nil {
+			// The callback (often the distributed layer's forwarder) may
+			// retain the tuple; ownership ends here.
 			tt.Disown()
-			e.onOutput(r.out.name, tt)
+			e.onOutput(os.name, tt)
 		} else {
+			// Terminal delivery with no retaining consumer: the tuple is
+			// dead, and a pool-owned Vals goes back to the freelist.
 			tt.Recycle()
 		}
 	}
@@ -826,7 +764,8 @@ func (e *Engine) Ingest(input string, t stream.Tuple) bool {
 		// tuple arriving with a span keeps it — its trace began upstream.
 		t.Span = e.tracer.Sample(t.TS)
 	}
-	e.deliver(routes, t, now)
+	one := [1]stream.Tuple{t} // a tuple is a train of one
+	e.deliverTrain(routes, one[:], now)
 	// A worker pool waiting out an idle stretch must notice new work.
 	if d := e.disp.Load(); d != nil {
 		d.kick()
@@ -843,152 +782,97 @@ func (e *Engine) noteDrop() {
 // Step runs one scheduling decision: the scheduler picks a box and a
 // train, and the engine pushes that many waiting tuples through it
 // (train scheduling, §2.3). It reports whether any work was done.
-//
-// Two train bodies exist. The virtual-clock body keeps the exact
-// per-tuple loop — pop, queue-mark, clock advance, Process — because the
-// deterministic experiments' byte-identical traces depend on each tuple's
-// marks landing at its own modeled completion time; SerialKernels forces
-// the same body under a wall clock as the hot-path guard's baseline. The
-// wall-clock body pops the whole train with one lock acquisition and
-// dispatches it through the operator's batch kernel in one interface
-// call, falling back per tuple for trains carrying traced tuples (span
-// inheritance routes through boxState.cur, which is per-tuple state).
 func (e *Engine) Step() bool {
-	b, port, n := e.sched.Next(e)
-	if b == nil {
+	b, port, n := e.sched.Next(e, nil)
+	if b == nil || e.runTrain(b, port, n, 0) == 0 {
 		return false
 	}
-	var processed int
-	if e.vclock != nil || e.serialKernels {
-		processed = e.stepSerialTrain(b, port, n)
-	} else {
-		processed = e.stepBatchTrain(b, port, n)
-	}
-	if processed == 0 {
-		return false
-	}
-	now := e.clock.Now()
-	e.advanceTimeSensitive(now)
-	if e.shedder != nil {
-		e.shedder.Control(e)
-	}
-	if steps := e.steps.Add(1); e.stats != nil && steps%e.statsEvery == 0 {
-		e.SampleStats(now)
-		e.autosplitCheck(now)
-	}
+	e.advanceTimeSensitive(e.clock.Now())
+	e.noteStep()
 	// Step is the serial path, so the step boundary owns every box:
 	// apply any requested split/unsplit transition directly.
 	e.applyPendingSerial()
 	return true
 }
 
-// stepSerialTrain is the legacy per-tuple train body, kept verbatim for
-// the virtual-clock path (trace fidelity) and the SerialKernels baseline.
-func (e *Engine) stepSerialTrain(b *boxState, port, n int) int {
-	start := e.clock.Now()
-	processed := 0
-	for i := 0; i < n; i++ {
-		en, ok := b.inQ[port].Pop()
-		if !ok {
-			break
-		}
-		e.qBytes.Add(int64(-en.size))
-		b.wait.Observe(float64(start - en.enq))
-		b.inCount.Add(1)
-		if sp := en.t.Span; sp != nil {
-			// Queue ends at this tuple's own service start — under a
-			// virtual clock that is start + i*virtCost, not the train
-			// start, so a long train does not smear earlier tuples'
-			// service time into later tuples' queue component.
-			sp.MarkReplica(trace.KindQueue, b.id, 0, b.replica, e.clock.Now())
-			b.cur = sp
-		}
-		if e.vclock != nil {
-			// Advance per tuple, before Process: the emit's Proc mark and
-			// the monitor's delivery observation then land at this tuple's
-			// completion time. Bulk-advancing after the loop would stamp
-			// every tuple in the train at the train's start, so the whole
-			// train's processing time would be charged downstream (to the
-			// outbox wait, i.e. the network component) instead of to the
-			// box — exactly the misattribution tail analysis cares about.
-			e.vclock.Advance(b.virtCost)
-		}
-		b.inst.Process(port, en.t, b.emit)
-		b.cur = nil
-		processed++
-	}
-	if processed == 0 {
-		return 0
-	}
-	if e.vclock != nil {
-		work := int64(processed) * b.virtCost
-		b.cost.Observe(float64(b.virtCost))
-		b.workNs.Add(work)
-		e.busyCtr.Add(work)
-	} else {
-		elapsed := e.clock.Now() - start
-		b.cost.Observe(float64(elapsed) / float64(processed))
-		b.workNs.Add(elapsed)
-		e.busyCtr.Add(elapsed)
-	}
-	return processed
-}
-
-// stepBatchTrain is the wall-clock train body: one queue lock, one
-// kernel dispatch, and pooled-input reclamation for consuming operators.
-func (e *Engine) stepBatchTrain(b *boxState, port, n int) int {
+// runTrain is the one train body, shared by Step (worker 0) and the pool:
+// pop up to n tuples from the box's port under one queue lock and push
+// them through the operator on a box the caller owns. It returns the
+// number of tuples processed.
+//
+// The train executes in chunks. On a wall clock with no traced tuple
+// aboard the chunk is the whole train — one kernel dispatch, one emission
+// flush. Under a VirtualClock, or when any tuple carries a span, the chunk
+// is a single tuple, because both give each tuple its own instant: the
+// deterministic experiments depend on every tuple's marks and deliveries
+// landing at its own modeled completion time, and a traced tuple threads
+// its span to derived emissions through b.cur. All accounting is per
+// chunk — queue bytes released, queueing delay observed, queue stage
+// closed at the chunk's service start, clock advanced, emissions routed at
+// the chunk's completion — so chunk-of-one reproduces a per-tuple engine
+// exactly, and chunk-of-train pays every one of those costs once.
+func (e *Engine) runTrain(b *boxState, port, n, worker int) int {
 	start := e.clock.Now()
 	tb := getTrainBuf()
-	bytes := b.inQ[port].PopTrain(tb, n)
+	b.inQ[port].PopTrain(tb, n)
 	ts := tb.ts
-	processed := len(ts)
-	if processed == 0 {
+	if len(ts) == 0 {
 		putTrainBuf(tb)
 		return 0
 	}
-	e.qBytes.Add(int64(-bytes))
-	b.inCount.Add(int64(processed))
-	traced := false
-	waitSum := 0.0
-	for i := range ts {
-		waitSum += float64(start - tb.enq[i])
-		if ts[i].Span != nil {
-			traced = true
-		}
-	}
-	// One EWMA update with the train's mean wait: the same signal the
-	// scheduler reads, without a per-tuple Observe in the hot loop.
-	b.wait.Observe(waitSum / float64(processed))
-	switch {
-	case traced:
-		// Traced tuples thread their span through b.cur so derived
-		// emissions inherit it — inherently per-tuple; trains carrying
-		// them take the slow lane (tracing samples a small fraction).
+	chunk := len(ts)
+	if e.vclock != nil {
+		chunk = 1
+	} else {
 		for i := range ts {
-			if sp := ts[i].Span; sp != nil {
-				sp.MarkReplica(trace.KindQueue, b.id, 0, b.replica, e.clock.Now())
-				b.cur = sp
+			if ts[i].Span != nil {
+				chunk = 1
+				break
 			}
-			b.inst.Process(port, ts[i], b.emit)
-			b.cur = nil
 		}
-	case b.kernel != nil:
-		eb := getEmitBuf()
-		b.eb = eb
-		b.kernel.ProcessTrain(port, ts, b.collect)
-		b.eb = nil
-		e.flushEmits(b, 0, eb, e.clock.Now())
-		putEmitBuf(eb)
-	default:
-		eb := getEmitBuf()
-		b.eb = eb
-		for i := range ts {
-			b.inst.Process(port, ts[i], b.collect)
-		}
-		b.eb = nil
-		e.flushEmits(b, 0, eb, e.clock.Now())
-		putEmitBuf(eb)
 	}
+	e.openEmit(b)
+	for lo := 0; lo < len(ts); lo += chunk {
+		c := ts[lo : lo+chunk]
+		bytes, wait := 0, 0.0
+		for i := lo; i < lo+chunk; i++ {
+			bytes += tb.size[i]
+			wait += float64(start - tb.enq[i])
+		}
+		// The storage manager reads the running total at every enqueue, so
+		// a chunk's bytes leave the account when the chunk starts, not
+		// when the train was popped.
+		e.qBytes.Add(int64(-bytes))
+		b.wait.Observe(wait / float64(chunk))
+		b.inCount.Add(int64(chunk))
+		if sp := c[0].Span; sp != nil { // only ever in a chunk of one
+			// Queue ends at this tuple's own service start, not the train
+			// start, so a long train does not smear earlier tuples'
+			// service time into later tuples' queue component.
+			sp.MarkReplica(trace.KindQueue, b.id, worker, b.replica, e.clock.Now())
+			b.cur = sp
+		}
+		if e.vclock != nil {
+			// Advance before the operator runs: the emissions' Proc marks
+			// and the monitor's delivery observations then land at this
+			// tuple's completion time. Bulk-advancing after the loop would
+			// stamp every tuple at the train's start and charge the whole
+			// train's processing downstream (to the outbox wait, i.e. the
+			// network component) instead of to the box — exactly the
+			// misattribution tail analysis cares about.
+			e.vclock.Advance(b.virtCost)
+		}
+		if b.kernel != nil {
+			b.kernel.ProcessTrain(port, c, b.collect)
+		} else {
+			for i := range c {
+				b.inst.Process(port, c[i], b.collect)
+			}
+		}
+		b.cur = nil
+		e.flushEmits(b, worker)
+	}
+	e.closeEmit(b, worker)
 	if b.consumes {
 		// The operator neither retained nor re-emitted its inputs: any
 		// pool-owned Vals among them died in this train.
@@ -996,7 +880,9 @@ func (e *Engine) stepBatchTrain(b *boxState, port, n int) int {
 			ts[i].Recycle()
 		}
 	}
+	processed := len(ts)
 	putTrainBuf(tb)
+	// Under a virtual clock elapsed is exactly processed*virtCost.
 	elapsed := e.clock.Now() - start
 	b.cost.Observe(float64(elapsed) / float64(processed))
 	b.workNs.Add(elapsed)
@@ -1004,19 +890,40 @@ func (e *Engine) stepBatchTrain(b *boxState, port, n int) int {
 	return processed
 }
 
+// noteStep closes one scheduling decision: the shedder's control loop,
+// and every statsEvery'th step a stats sample and an autosplit check.
+func (e *Engine) noteStep() {
+	if e.shedder != nil {
+		e.shedder.Control(e)
+	}
+	if steps := e.steps.Add(1); e.stats != nil && steps%e.statsEvery == 0 {
+		now := e.clock.Now()
+		e.SampleStats(now)
+		e.autosplitCheck(now)
+	}
+}
+
 // advanceTimeSensitive meets the timeout obligations of time-driven
 // operators (op.TimeDriven, e.g. WSort): called after box executions, it
 // advances only those operators, and only when the clock actually moved
 // since the last advance — the serial engine used to sweep Advance over
 // every box after every train, O(boxes) of no-op virtual calls per step.
+// The caller owns every box (the serial loop, or a quiescent pool).
 func (e *Engine) advanceTimeSensitive(now int64) {
 	timed := e.snap().timed
 	if len(timed) == 0 || e.lastAdvance.Swap(now) == now {
 		return
 	}
 	for _, b := range timed {
-		b.inst.Advance(now, b.emit)
+		e.advanceBox(b, 0, now)
 	}
+}
+
+// advanceBox gives one owned time-driven box its Advance.
+func (e *Engine) advanceBox(b *boxState, worker int, now int64) {
+	e.openEmit(b)
+	b.inst.Advance(now, b.collect)
+	e.closeEmit(b, worker)
 }
 
 // SampleStats folds the current monitored statistics of every box into
@@ -1133,7 +1040,9 @@ func (e *Engine) Drain() {
 	for {
 		before := e.emittedTotal()
 		for _, b := range e.snap().boxes {
-			b.inst.Flush(b.emit)
+			e.openEmit(b)
+			b.inst.Flush(b.collect)
+			e.closeEmit(b, 0)
 			e.RunUntilIdle(0)
 		}
 		if e.emittedTotal() == before && e.QueuedTuples() == 0 {

@@ -144,40 +144,12 @@ func newOutputState(o *query.Output, schema *stream.Schema, reg *metrics.Registr
 	return os, nil
 }
 
-// observe records one delivered tuple at time now.
-func (os *outputState) observe(t stream.Tuple, now int64) {
-	lat := float64(now - t.TS)
-	if lat < 0 {
-		lat = 0
-	}
-	os.latency.Observe(lat)
-	u := 1.0
-	if os.spec != nil && os.spec.Latency != nil {
-		u *= os.spec.Latency.Utility(lat)
-	}
-	if os.valueIdx >= 0 {
-		u *= os.spec.Value.Utility(t.Field(os.valueIdx).AsFloat())
-	}
-	os.mu.Lock()
-	os.utilSum += u
-	os.delivered++
-	mean := os.utilSum / float64(os.delivered)
-	if os.lat != nil {
-		os.lat.Record(lat) // zero-alloc; the SLO plane's raw material
-	}
-	os.mu.Unlock()
-	if os.util != nil {
-		// One atomic store per delivery: the gauge always equals
-		// utilSum/delivered, the exact mean the QoS graphs assign to the
-		// observed latency samples (the property the tests pin).
-		os.util.Set(mean)
-	}
-}
-
-// observeTrain is observe over a delivered emission run: one mutex
-// acquisition and one utility-gauge store per run instead of per tuple.
-// The latency histogram and sketch recorders are atomic/lock-free, so
-// folding them under the mutex costs nothing extra.
+// observeTrain records a run of tuples delivered at time now: one mutex
+// acquisition and one utility-gauge store per run, after which the gauge
+// equals utilSum/delivered — the exact mean the QoS graphs assign to the
+// observed latency samples (the property the tests pin). The latency
+// histogram and sketch recorders are atomic/lock-free, so folding them
+// under the mutex costs nothing extra.
 func (os *outputState) observeTrain(ts []stream.Tuple, now int64) {
 	if len(ts) == 0 {
 		return

@@ -1,21 +1,16 @@
 package engine
 
-import (
-	"sync"
-
-	"repro/internal/stream"
-	"repro/internal/trace"
-)
+import "sync"
 
 // This file is the parallel wall-clock execution path: a worker pool
 // where the scheduler dispatches conflict-free box trains to idle
 // workers. The ownership protocol is simple and strict — a box instance
 // is owned by at most one worker at a time (boxState.running, guarded by
 // the dispatcher mutex), so operators stay single-threaded internally and
-// each box consumes its input queues in FIFO order. Emissions are
-// buffered per worker during the train and merged through the router
-// while the worker still owns the box, so downstream delivery order per
-// (box, port) is exactly the box's emission order. The deterministic
+// each box consumes its input queues in FIFO order. A worker runs the
+// same train body Step does (runTrain), whose emissions are routed while
+// the worker still owns the box, so downstream delivery order per (box,
+// port) is exactly the box's emission order. The deterministic
 // virtual-clock path stays serial and byte-identical: Config.Workers with
 // a VirtualClock is rejected in New, and RunParallel panics on one.
 
@@ -24,7 +19,6 @@ import (
 // wakes waiting workers when a train completes (possibly freeing a box or
 // producing downstream work) or when Ingest delivers from outside.
 type dispatcher struct {
-	e     *Engine
 	mu    sync.Mutex
 	cond  *sync.Cond
 	busy  int // workers currently executing a train
@@ -39,70 +33,9 @@ func (d *dispatcher) kick() {
 	d.mu.Unlock()
 }
 
-// next picks the best (box, port, train) among boxes no worker owns,
-// via the scheduler when it speaks ParallelScheduler, else a longest-
-// queue fallback. Callers hold d.mu.
-func (d *dispatcher) next() (*boxState, int, int) {
-	free := func(b *boxState) bool { return !b.running }
-	if ps, ok := d.e.sched.(ParallelScheduler); ok {
-		return ps.NextFree(d.e, free)
-	}
-	var best *boxState
-	bestPort, bestLen := 0, 0
-	for _, b := range d.e.snap().boxes {
-		if b.running {
-			continue
-		}
-		for p, q := range b.inQ {
-			if n := q.Len(); n > bestLen {
-				best, bestPort, bestLen = b, p, n
-			}
-		}
-	}
-	if best == nil {
-		return nil, 0, 0
-	}
-	train := bestLen
-	if train > DefaultMaxTrain {
-		train = DefaultMaxTrain
-	}
-	return best, bestPort, train
-}
-
-// pendEmit is one buffered box emission awaiting the router merge.
-type pendEmit struct {
-	port int
-	t    stream.Tuple
-}
-
-// worker is one pool member's reusable state.
-type worker struct {
-	id   int // 1-based; stamped into trace stages
-	pend []pendEmit
-}
-
-// workerPool recycles workers (really: their pend backing arrays) across
-// RunParallel invocations, so a step-driven caller that re-enters the
-// pool repeatedly does not regrow every worker's emission buffer each
-// time. Returned workers have their pend cleared so a parked buffer pins
-// no tuples.
-var workerPool = sync.Pool{New: func() any {
-	return &worker{pend: make([]pendEmit, 0, 2*DefaultMaxTrain)}
-}}
-
-func getWorker(id int) *worker {
-	w := workerPool.Get().(*worker)
-	w.id = id
-	return w
-}
-
-func putWorker(w *worker) {
-	for i := range w.pend {
-		w.pend[i] = pendEmit{}
-	}
-	w.pend = w.pend[:0]
-	workerPool.Put(w)
-}
+// unowned is the dispatcher's scheduler filter: boxes no worker is
+// running. Callers hold d.mu.
+func unowned(b *boxState) bool { return !b.running }
 
 // Run executes queued work with the configured policy: the worker pool
 // when Config.Workers > 1 on a wall clock, the serial loop otherwise. It
@@ -132,7 +65,7 @@ func (e *Engine) RunParallel(workers int) int {
 	}
 	total := 0
 	for {
-		d := &dispatcher{e: e}
+		d := &dispatcher{}
 		d.cond = sync.NewCond(&d.mu)
 		if !e.disp.CompareAndSwap(nil, d) {
 			panic("engine: concurrent RunParallel invocations")
@@ -142,9 +75,7 @@ func (e *Engine) RunParallel(workers int) int {
 			wg.Add(1)
 			go func(id int) {
 				defer wg.Done()
-				w := getWorker(id)
-				e.runWorker(d, w)
-				putWorker(w)
+				e.runWorker(d, id)
 			}(i)
 		}
 		wg.Wait()
@@ -160,11 +91,11 @@ func (e *Engine) RunParallel(workers int) int {
 	}
 }
 
-// runWorker is one pool member's loop: ask the dispatcher for a
-// conflict-free train, run it, repeat; sleep when nothing is runnable but
-// a peer is still busy (its merge may produce work); exit when the whole
-// engine is idle.
-func (e *Engine) runWorker(d *dispatcher, w *worker) {
+// runWorker is one pool member's loop: ask the scheduler for a train on a
+// box no worker owns, run it, repeat; sleep when nothing is runnable but a
+// peer is still busy (its train may produce work); exit when the whole
+// engine is idle. id is 1-based and stamped into trace stages.
+func (e *Engine) runWorker(d *dispatcher, id int) {
 	d.mu.Lock()
 	for !d.done {
 		// A requested split/unsplit gets first claim on box ownership at
@@ -175,7 +106,7 @@ func (e *Engine) runWorker(d *dispatcher, w *worker) {
 		if e.pendTrans.Load() != nil && e.tryApplyPendingParallel(d) {
 			continue
 		}
-		b, port, train := d.next()
+		b, port, train := e.sched.Next(e, unowned)
 		if b == nil {
 			if d.busy == 0 {
 				// Nothing queued and nobody running: the pool is done.
@@ -190,7 +121,14 @@ func (e *Engine) runWorker(d *dispatcher, w *worker) {
 		d.busy++
 		d.mu.Unlock()
 
-		e.runTrain(w, b, port, train)
+		e.runTrain(b, port, train, id)
+		if b.timed {
+			// Time obligations for the owned box only; other time-driven
+			// boxes get theirs when a worker owns them or at pool
+			// quiescence.
+			e.advanceBox(b, id, e.clock.Now())
+		}
+		e.noteStep()
 
 		d.mu.Lock()
 		b.running = false
@@ -201,112 +139,4 @@ func (e *Engine) runWorker(d *dispatcher, w *worker) {
 		d.cond.Broadcast()
 	}
 	d.mu.Unlock()
-}
-
-// runTrain executes one scheduling decision on a box the worker owns:
-// pop up to train tuples, push them through the operator with emissions
-// buffered per worker, advance the operator's clock obligations, then
-// merge the buffered emissions through the router — all before ownership
-// is released, so per-(box, port) delivery order is the box's emission
-// order. It returns the number of tuples processed.
-func (e *Engine) runTrain(w *worker, b *boxState, port, train int) int {
-	start := e.clock.Now()
-	emit := func(p int, t stream.Tuple) {
-		b.outCount.Add(1)
-		if t.Span == nil {
-			// Derived tuples inherit the span of the tuple being
-			// processed, exactly like the serial emit closure.
-			t.Span = b.cur
-		}
-		w.pend = append(w.pend, pendEmit{port: p, t: t})
-	}
-	tb := getTrainBuf()
-	bytes := b.inQ[port].PopTrain(tb, train)
-	ts := tb.ts
-	processed := len(ts)
-	if processed > 0 {
-		e.qBytes.Add(int64(-bytes))
-		b.inCount.Add(int64(processed))
-		traced := false
-		waitSum := 0.0
-		for i := range ts {
-			waitSum += float64(start - tb.enq[i])
-			if ts[i].Span != nil {
-				traced = true
-			}
-		}
-		// One EWMA update with the train's mean wait, as on the serial
-		// batch path.
-		b.wait.Observe(waitSum / float64(processed))
-		switch {
-		case traced || e.serialKernels:
-			// Span inheritance threads through b.cur per tuple, so trains
-			// carrying traced tuples take the per-tuple lane (tracing
-			// samples a small fraction); SerialKernels forces it as the
-			// hot-path guard's baseline.
-			for i := range ts {
-				if sp := ts[i].Span; sp != nil {
-					sp.MarkReplica(trace.KindQueue, b.id, w.id, b.replica, start)
-					b.cur = sp
-				}
-				b.inst.Process(port, ts[i], emit)
-				b.cur = nil
-			}
-		default:
-			// Batch lane: emissions collect into a pooled buffer and flush
-			// in same-port runs while the box is still owned — the same
-			// per-(box, port) ordering the pend merge gives the other lanes,
-			// since flushes happen in emission order. Advance's emissions
-			// still travel through pend below, after the flush.
-			eb := getEmitBuf()
-			b.eb = eb
-			if b.kernel != nil {
-				b.kernel.ProcessTrain(port, ts, b.collect)
-			} else {
-				for i := range ts {
-					b.inst.Process(port, ts[i], b.collect)
-				}
-			}
-			b.eb = nil
-			e.flushEmits(b, w.id, eb, e.clock.Now())
-			putEmitBuf(eb)
-		}
-		if b.consumes {
-			// The operator neither retained nor re-emitted its inputs
-			// (its emissions carry fresh Vals), so any pool-owned input
-			// buffers died in this train — safe even though the emissions
-			// are still pending merge.
-			for i := range ts {
-				ts[i].Recycle()
-			}
-		}
-		elapsed := e.clock.Now() - start
-		b.cost.Observe(float64(elapsed) / float64(processed))
-		b.workNs.Add(elapsed)
-		e.busyCtr.Add(elapsed)
-	}
-	putTrainBuf(tb)
-	// Time obligations for the owned box only; other time-driven boxes
-	// get theirs when a worker owns them or at pool quiescence.
-	if _, ok := b.inst.(interface{ TimeDriven() }); ok {
-		b.inst.Advance(e.clock.Now(), emit)
-	}
-	// Merge: route the buffered emissions in emission order while the box
-	// is still owned.
-	if len(w.pend) > 0 {
-		now := e.clock.Now()
-		for _, pe := range w.pend {
-			e.routeEmit(b, pe.port, w.id, pe.t, now)
-		}
-		w.pend = w.pend[:0]
-	}
-	if e.shedder != nil {
-		e.shedder.Control(e)
-	}
-	if steps := e.steps.Add(1); e.stats != nil && steps%e.statsEvery == 0 {
-		now := e.clock.Now()
-		e.SampleStats(now)
-		e.autosplitCheck(now)
-	}
-	return processed
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -339,7 +340,46 @@ func TestParallelTraceWorkerAttribution(t *testing.T) {
 	if attributed == 0 {
 		t.Error("no trace segment carries a worker id; pool attribution lost")
 	}
+
+	// Within one traced multi-tuple train the pool must close each tuple's
+	// queue stage at that tuple's own service start, as Step does: tuple
+	// i+1 waits while tuple i is processed, so its queue stage ends no
+	// earlier than tuple i's proc stage. A clock that ticks on every read
+	// makes every stage non-empty and the order exact.
+	clk := &tickClock{}
+	e = newWallEngine(t, multiFilterNet(t, 1), Config{Workers: 4, Tracer: tr, Clock: clk})
+	spans := make([]*trace.Span, 8)
+	for i := range spans {
+		tp := tuple(int64(i), int64(i))
+		tp.TS = clk.Now()
+		spans[i] = tr.Sample(tp.TS)
+		tp.Span = spans[i]
+		e.Ingest("in0", tp)
+	}
+	e.Run()
+	stageEnd := func(sp *trace.Span, kind trace.Kind) int64 {
+		for _, st := range sp.Stages {
+			if st.Kind == kind && st.Name == "f0" {
+				return st.Start + st.Dur
+			}
+		}
+		t.Fatalf("span %d has no %v stage at f0: %+v", sp.ID, kind, sp.Stages)
+		return 0
+	}
+	for i := 0; i+1 < len(spans); i++ {
+		procEnd, queueEnd := stageEnd(spans[i], trace.KindProc), stageEnd(spans[i+1], trace.KindQueue)
+		if queueEnd < procEnd {
+			t.Errorf("tuple %d's queue stage ends at %d, before tuple %d's proc stage ends at %d: its wait was charged to proc",
+				i+1, queueEnd, i, procEnd)
+		}
+	}
 }
+
+// tickClock is a wall clock (not a *VirtualClock, so the pool accepts it)
+// that advances one nanosecond per read.
+type tickClock struct{ n atomic.Int64 }
+
+func (c *tickClock) Now() int64 { return c.n.Add(1) }
 
 func TestParallelSpeedupGuard(t *testing.T) {
 	// CI throughput guard: 4 workers must beat serial by >= 1.5x on an

@@ -34,7 +34,7 @@ import (
 
 // partition is the runtime split state attached to a parent box: the
 // key-sharded replicas, the merge chain folding their output back
-// together, and the hash route that deliver consults.
+// together, and the hash route that deliverTrain consults.
 type partition struct {
 	parent *boxState
 	n      int
@@ -43,7 +43,7 @@ type partition struct {
 	keyIdx []int       // key columns in the parent input schema; nil = round-robin
 	rr     atomic.Uint64
 
-	// mu guards active: deliver admits tuples to replicas under the read
+	// mu guards active: deliverTrain admits tuples to replicas under the read
 	// lock, transitions flip active under the write lock, so a flip
 	// strictly orders every in-flight admission to one side of it.
 	mu     sync.RWMutex
@@ -111,7 +111,6 @@ func (e *Engine) buildPartition(b *boxState, n int, prof op.SplitProfile) (*part
 		nb.downstream = make([][]route, inst.NumOut())
 		nb.cpH = make([]*stream.History, inst.NumOut())
 		nb.taps = make([]atomic.Pointer[[]op.Emit], inst.NumOut())
-		nb.emit = e.makeEmit(nb)
 		nb.refreshInst()
 		return nb
 	}
@@ -253,8 +252,7 @@ func (e *Engine) splitBoxCorr(id string, n int, corr uint64) error {
 
 	// Stabilize the parent: process its backlog and flush open windowed
 	// state downstream, so the replicas start from clean per-key state.
-	e.drainThrough(b)
-	b.inst.Flush(b.emit)
+	e.drainAndFlush(b)
 
 	e.installPartition(b, p)
 	b.part.Store(p)
@@ -317,12 +315,10 @@ func (e *Engine) unsplitBoxCorr(id string, corr uint64) error {
 	// Drain in flow order: each replica's backlog and flush feed the
 	// merge head; each merge stage's backlog and flush feed the next.
 	for _, rb := range p.reps {
-		e.drainThrough(rb)
-		rb.inst.Flush(rb.emit)
+		e.drainAndFlush(rb)
 	}
 	for _, mb := range p.merge {
-		e.drainThrough(mb)
-		mb.inst.Flush(mb.emit)
+		e.drainAndFlush(mb)
 	}
 	e.removePartition(b, p)
 	e.unsplitCtr.Add(1)
@@ -340,14 +336,17 @@ func (e *Engine) unsplitBoxCorr(id string, corr uint64) error {
 	return nil
 }
 
-// drainThrough pops every queued tuple of a single-input box through its
-// instance — the per-box half of §5.1's "drain the network" protocol,
-// used by both transitions while the box is owned.
-func (e *Engine) drainThrough(b *boxState) {
+// drainAndFlush pops every queued tuple of an owned single-input box
+// through its instance and then forces its windowed state out — the
+// per-box half of §5.1's "drain the network" protocol, used by both
+// transitions. Unlike a train it models no processing time: the
+// transition itself is instantaneous under a virtual clock.
+func (e *Engine) drainAndFlush(b *boxState) {
+	e.openEmit(b)
 	for {
 		en, ok := b.inQ[0].Pop()
 		if !ok {
-			return
+			break
 		}
 		e.qBytes.Add(int64(-en.size))
 		b.inCount.Add(1)
@@ -355,9 +354,12 @@ func (e *Engine) drainThrough(b *boxState) {
 			sp.MarkReplica(trace.KindQueue, b.id, 0, b.replica, e.clock.Now())
 			b.cur = sp
 		}
-		b.inst.Process(0, en.t, b.emit)
+		b.inst.Process(0, en.t, b.collect)
 		b.cur = nil
+		e.flushEmits(b, 0)
 	}
+	b.inst.Flush(b.collect)
+	e.closeEmit(b, 0)
 }
 
 // installPartition swaps in a topology snapshot with the replicas and
@@ -377,7 +379,7 @@ func (e *Engine) installPartition(b *boxState, p *partition) {
 	}
 	timed := append([]*boxState(nil), old.timed...)
 	for _, nb := range add {
-		if _, ok := nb.inst.(op.TimeDriven); ok {
+		if nb.timed {
 			timed = append(timed, nb)
 		}
 	}

@@ -407,7 +407,7 @@ func TestSplitCachedPartitionReuse(t *testing.T) {
 
 // TestSchedulersDispatchReplicasIndependently is the regression for the
 // scheduler audit: two replicas of one split box must be dispatchable to
-// two workers simultaneously — when one replica is owned, NextFree must
+// two workers simultaneously — when one replica is owned, Next must
 // offer the other, not stall on the shared parent. Before the topology
 // snapshot conversion, runtime-attached replicas were invisible to every
 // scheduler.
@@ -420,26 +420,25 @@ func TestSchedulersDispatchReplicasIndependently(t *testing.T) {
 		r1 := e.snap().byID["tb#1"]
 		r2 := e.snap().byID["tb#2"]
 		for i := 0; i < 4; i++ {
-			r1.inQ[0].Push(tuple(1, 1), 0)
-			r2.inQ[0].Push(tuple(2, 1), 0)
+			r1.inQ[0].PushTrain([]stream.Tuple{tuple(1, 1)}, 0)
+			r2.inQ[0].PushTrain([]stream.Tuple{tuple(2, 1)}, 0)
 		}
 		return e
 	}
-	free := func(b *boxState) bool { return !b.running }
-	scheds := map[string]func() ParallelScheduler{
-		"roundrobin": func() ParallelScheduler { return NewRoundRobinScheduler(8) },
-		"train":      func() ParallelScheduler { return NewTrainScheduler(8) },
-		"qos":        func() ParallelScheduler { return NewQoSScheduler(8, 1e6) },
+	scheds := map[string]func() Scheduler{
+		"roundrobin": func() Scheduler { return NewRoundRobinScheduler(8) },
+		"train":      func() Scheduler { return NewTrainScheduler(8) },
+		"qos":        func() Scheduler { return NewQoSScheduler(8, 1e6) },
 	}
 	for name, mk := range scheds {
 		e := build()
 		s := mk()
-		b1, _, _ := s.NextFree(e, free)
+		b1, _, _ := s.Next(e, unowned)
 		if b1 == nil || (b1.id != "tb#1" && b1.id != "tb#2") {
 			t.Fatalf("%s: first pick = %v, want a replica of tb", name, b1)
 		}
 		b1.running = true // worker 1 holds the first replica
-		b2, _, n := s.NextFree(e, free)
+		b2, _, n := s.Next(e, unowned)
 		if b2 == nil || b2 == b1 {
 			t.Fatalf("%s: second pick = %v with %q owned; want the sibling replica", name, b2, b1.id)
 		}
@@ -449,36 +448,6 @@ func TestSchedulersDispatchReplicasIndependently(t *testing.T) {
 		if n < 1 {
 			t.Fatalf("%s: zero train for a non-empty replica queue", name)
 		}
-	}
-}
-
-// plainSched hides the ParallelScheduler interface so the dispatcher's
-// longest-queue fallback is what gets exercised.
-type plainSched struct{ inner Scheduler }
-
-func (p plainSched) Next(e *Engine) (*boxState, int, int) { return p.inner.Next(e) }
-
-func TestDispatcherFallbackDispatchesReplicas(t *testing.T) {
-	e, _ := newVirtualEngine(t, tumbleNet(t), Config{})
-	e.sched = plainSched{inner: NewTrainScheduler(8)}
-	if err := e.SplitBox("tb", 2); err != nil {
-		t.Fatal(err)
-	}
-	r1 := e.snap().byID["tb#1"]
-	r2 := e.snap().byID["tb#2"]
-	for i := 0; i < 4; i++ {
-		r1.inQ[0].Push(tuple(1, 1), 0)
-		r2.inQ[0].Push(tuple(2, 1), 0)
-	}
-	d := &dispatcher{e: e}
-	b1, _, _ := d.next()
-	if b1 == nil || b1.parentID != "tb" {
-		t.Fatalf("fallback first pick = %v, want a replica", b1)
-	}
-	b1.running = true
-	b2, _, _ := d.next()
-	if b2 == nil || b2 == b1 || b2.parentID != "tb" {
-		t.Fatalf("fallback second pick = %v with %q owned; want the sibling replica", b2, b1.id)
 	}
 }
 

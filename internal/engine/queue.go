@@ -79,13 +79,8 @@ func (q *entryQueue) ForEach(fn func(entry)) {
 	}
 }
 
-func (q *entryQueue) Push(t stream.Tuple, now int64) {
-	q.PushSized(t, now, t.MemSize())
-}
-
-// PushSized is Push with the tuple's MemSize already computed — the
-// delivery path measures it for spill accounting anyway, so the queue
-// need not walk the value slice a second time.
+// PushSized enqueues one tuple whose MemSize the caller already computed
+// (the split route and re-shard paths, which place tuples one at a time).
 func (q *entryQueue) PushSized(t stream.Tuple, now int64, size int) {
 	q.mu.Lock()
 	if q.count == len(q.buf) {
@@ -122,11 +117,10 @@ func (q *entryQueue) Pop() (entry, bool) {
 }
 
 // PopTrain moves up to max entries into tb under one lock acquisition —
-// the batch path's counterpart of a per-tuple Pop loop, which paid a
-// lock round-trip and a shrink check per tuple. It returns the total
-// bytes removed; the tuples land in tb.ts with their enqueue times
-// parallel in tb.enq.
-func (q *entryQueue) PopTrain(tb *trainBuf, max int) int {
+// a per-tuple Pop loop would pay a lock round-trip and a shrink check per
+// tuple. The tuples land in tb.ts with their enqueue times and sizes
+// parallel in tb.enq and tb.size.
+func (q *entryQueue) PopTrain(tb *trainBuf, max int) {
 	q.mu.Lock()
 	n := q.count
 	if n > max {
@@ -139,6 +133,7 @@ func (q *entryQueue) PopTrain(tb *trainBuf, max int) int {
 		q.head = (q.head + 1) % len(q.buf)
 		tb.ts = append(tb.ts, en.t)
 		tb.enq = append(tb.enq, en.enq)
+		tb.size = append(tb.size, en.size)
 		bytes += en.size
 	}
 	q.count -= n
@@ -155,7 +150,6 @@ func (q *entryQueue) PopTrain(tb *trainBuf, max int) int {
 		q.head = 0
 	}
 	q.mu.Unlock()
-	return bytes
 }
 
 // PushTrain enqueues a whole same-destination emission run under one
@@ -184,7 +178,7 @@ func (q *entryQueue) PushTrain(ts []stream.Tuple, now int64) int {
 	return total
 }
 
-// emitBuf collects one train's emissions so the router can move them in
+// emitBuf collects a box's emissions so the router can move them in
 // same-port runs: one clock read, one downstream queue lock, one byte-
 // accounting update per run instead of per tuple. Pooled like trainBuf.
 type emitBuf struct {
@@ -204,14 +198,14 @@ var emitBufPool = sync.Pool{New: func() any {
 	}
 }}
 
-func getEmitBuf() *emitBuf { return emitBufPool.Get().(*emitBuf) }
-
-func putEmitBuf(eb *emitBuf) {
+// reset empties the buffer after a flush, clearing the tuple slots so
+// neither a later chunk nor a parked buffer pins Vals backing arrays or
+// trace spans.
+func (eb *emitBuf) reset() {
 	for i := range eb.ts {
 		eb.ts[i] = stream.Tuple{}
 	}
 	eb.ts, eb.ports = eb.ts[:0], eb.ports[:0]
-	emitBufPool.Put(eb)
 }
 
 // trainBuf is the reusable scratch a train is popped into. Buffers cycle
@@ -219,14 +213,16 @@ func putEmitBuf(eb *emitBuf) {
 // train path allocates nothing; putTrainBuf clears the tuple slots so a
 // parked buffer pins neither Vals backing arrays nor trace spans.
 type trainBuf struct {
-	ts  []stream.Tuple
-	enq []int64
+	ts   []stream.Tuple
+	enq  []int64
+	size []int
 }
 
 var trainBufPool = sync.Pool{New: func() any {
 	return &trainBuf{
-		ts:  make([]stream.Tuple, 0, DefaultMaxTrain),
-		enq: make([]int64, 0, DefaultMaxTrain),
+		ts:   make([]stream.Tuple, 0, DefaultMaxTrain),
+		enq:  make([]int64, 0, DefaultMaxTrain),
+		size: make([]int, 0, DefaultMaxTrain),
 	}
 }}
 
@@ -236,7 +232,7 @@ func putTrainBuf(tb *trainBuf) {
 	for i := range tb.ts {
 		tb.ts[i] = stream.Tuple{}
 	}
-	tb.ts, tb.enq = tb.ts[:0], tb.enq[:0]
+	tb.ts, tb.enq, tb.size = tb.ts[:0], tb.enq[:0], tb.size[:0]
 	trainBufPool.Put(tb)
 }
 

@@ -2,12 +2,21 @@ package engine
 
 import (
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // The entryQueue used to grow forever: a one-off burst pinned its peak
 // ring for the rest of the process lifetime. These are the regression
 // tests for the shrink-on-Pop fix and for the byte accounting that the
-// storage manager's pressure signal is computed from.
+// storage manager's pressure signal is computed from. Tuples enter through
+// PushTrain, as they do in the engine; Pop is covered because the split
+// transitions still drain and re-shard with it.
+
+// push enqueues one tuple the way delivery does: as a train of one.
+func push(q *entryQueue, tp stream.Tuple, now int64) {
+	q.PushTrain([]stream.Tuple{tp}, now)
+}
 
 func TestEntryQueueFIFOAndBytes(t *testing.T) {
 	q := newEntryQueue()
@@ -15,7 +24,7 @@ func TestEntryQueueFIFOAndBytes(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tp := tuple(int64(i), int64(i*2))
 		wantBytes += tp.MemSize()
-		q.Push(tp, int64(i))
+		push(q, tp, int64(i))
 	}
 	if q.Len() != 100 {
 		t.Fatalf("Len = %d", q.Len())
@@ -26,7 +35,7 @@ func TestEntryQueueFIFOAndBytes(t *testing.T) {
 	if enq, ok := q.OldestEnq(); !ok || enq != 0 {
 		t.Fatalf("OldestEnq = %d, %v", enq, ok)
 	}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 50; i++ {
 		en, ok := q.Pop()
 		if !ok {
 			t.Fatalf("Pop %d failed", i)
@@ -37,6 +46,23 @@ func TestEntryQueueFIFOAndBytes(t *testing.T) {
 		wantBytes -= en.t.MemSize()
 		if q.Bytes() != wantBytes {
 			t.Fatalf("after pop %d: Bytes = %d, want %d", i, q.Bytes(), wantBytes)
+		}
+	}
+	// The rest leave as one train, each entry with the enqueue time and
+	// size it was pushed with — what the train body's per-chunk accounting
+	// reads.
+	tb := getTrainBuf()
+	defer putTrainBuf(tb)
+	q.PopTrain(tb, 1000)
+	if len(tb.ts) != 50 || len(tb.enq) != 50 || len(tb.size) != 50 {
+		t.Fatalf("PopTrain moved %d/%d/%d entries, want 50", len(tb.ts), len(tb.enq), len(tb.size))
+	}
+	for i := range tb.ts {
+		if got := tb.ts[i].Field(0).AsInt(); got != int64(50+i) || tb.enq[i] != int64(50+i) {
+			t.Fatalf("PopTrain entry %d: A = %d enq = %d (FIFO violated)", i, got, tb.enq[i])
+		}
+		if tb.size[i] != tb.ts[i].MemSize() {
+			t.Fatalf("PopTrain entry %d: size %d, want %d", i, tb.size[i], tb.ts[i].MemSize())
 		}
 	}
 	if _, ok := q.Pop(); ok {
@@ -51,7 +77,7 @@ func TestEntryQueueShrinksAfterBurst(t *testing.T) {
 	q := newEntryQueue()
 	const burst = 4096
 	for i := 0; i < burst; i++ {
-		q.Push(tuple(1, int64(i)), 0)
+		push(q, tuple(1, int64(i)), 0)
 	}
 	peak := q.Cap()
 	if peak < burst {
@@ -66,7 +92,7 @@ func TestEntryQueueShrinksAfterBurst(t *testing.T) {
 	// The ring must stay correct across shrink: refill past the small cap
 	// and check order survives the regrow.
 	for i := 0; i < 20; i++ {
-		q.Push(tuple(int64(i), 0), 0)
+		push(q, tuple(int64(i), 0), 0)
 	}
 	for i := 0; i < 20; i++ {
 		en, ok := q.Pop()
@@ -81,8 +107,7 @@ func TestEntryQueueShrinkKeepsSteadyOccupancy(t *testing.T) {
 	// fires below quarter occupancy, so capacity tracks the working set.
 	q := newEntryQueue()
 	for i := 0; i < 1000; i++ {
-		q.Push(tuple(1, int64(i)), 0)
-		q.Push(tuple(2, int64(i)), 0)
+		q.PushTrain([]stream.Tuple{tuple(1, int64(i)), tuple(2, int64(i))}, 0)
 		q.Pop()
 	}
 	if q.Len() != 1000 {

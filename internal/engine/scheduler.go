@@ -6,21 +6,14 @@ const DefaultMaxTrain = 128
 
 // Scheduler determines which box to run next and how many of the tuples
 // waiting in front of it to process — the train-scheduling determination
-// of §2.3. Next returns (nil, 0, 0) when no box has queued work.
+// of §2.3. Next returns (nil, 0, 0) when no eligible box has queued work.
+// free restricts the choice to boxes it reports true for: a box instance
+// is owned by at most one worker at a time, so the pool's dispatcher asks
+// for the best train among the boxes nobody is currently running. free ==
+// nil means every box is eligible (the serial case), which keeps the
+// execution policy swappable between Step and the pool.
 type Scheduler interface {
-	Next(e *Engine) (b *boxState, port int, train int)
-}
-
-// ParallelScheduler is a Scheduler that can restrict its choice to boxes
-// the dispatcher marks as free — a box instance is owned by at most one
-// worker at a time, so parallel dispatch asks the scheduler for the best
-// train among the boxes nobody is currently running. free == nil means
-// every box is eligible (the serial case); all built-in schedulers
-// implement this, keeping the execution policy swappable between the
-// serial and parallel paths.
-type ParallelScheduler interface {
-	Scheduler
-	NextFree(e *Engine, free func(*boxState) bool) (b *boxState, port int, train int)
+	Next(e *Engine, free func(*boxState) bool) (b *boxState, port int, train int)
 }
 
 // RoundRobinScheduler visits boxes cyclically, processing at most Train
@@ -41,12 +34,7 @@ func NewRoundRobinScheduler(train int) *RoundRobinScheduler {
 }
 
 // Next implements Scheduler.
-func (s *RoundRobinScheduler) Next(e *Engine) (*boxState, int, int) {
-	return s.NextFree(e, nil)
-}
-
-// NextFree implements ParallelScheduler.
-func (s *RoundRobinScheduler) NextFree(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
+func (s *RoundRobinScheduler) Next(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
 	topo := e.snap().boxes
 	n := len(topo)
 	for i := 0; i < n; i++ {
@@ -80,12 +68,7 @@ func NewTrainScheduler(maxTrain int) *TrainScheduler {
 }
 
 // Next implements Scheduler.
-func (s *TrainScheduler) Next(e *Engine) (*boxState, int, int) {
-	return s.NextFree(e, nil)
-}
-
-// NextFree implements ParallelScheduler.
-func (s *TrainScheduler) NextFree(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
+func (s *TrainScheduler) Next(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
 	var best *boxState
 	bestPort, bestLen := 0, 0
 	for _, b := range e.snap().boxes {
@@ -134,12 +117,7 @@ func NewQoSScheduler(maxTrain int, budget int64) *QoSScheduler {
 }
 
 // Next implements Scheduler.
-func (s *QoSScheduler) Next(e *Engine) (*boxState, int, int) {
-	return s.NextFree(e, nil)
-}
-
-// NextFree implements ParallelScheduler.
-func (s *QoSScheduler) NextFree(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
+func (s *QoSScheduler) Next(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
 	now := e.clock.Now()
 	var best *boxState
 	bestPort := 0

@@ -1,6 +1,10 @@
 package engine
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/stream"
+)
 
 // Storage is the Storage Manager of Fig 3: it accounts for queue memory —
 // box input queues and connection-point history, the state §2.3 says
@@ -38,6 +42,25 @@ func (s *Storage) NoteEnqueue(size, totalBytes int) {
 	if totalBytes > s.budget {
 		s.spilledBytes.Add(int64(size))
 		s.spillEvents.Add(1)
+	}
+}
+
+// noteEnqueueTrain is NoteEnqueue for a run of tuples enqueued together:
+// size bytes in all, the queues at totalBytes after the last. It counts
+// exactly what one NoteEnqueue per tuple would — the footprint only grows
+// within a run, so the last total is the run's high-water mark, and every
+// tuple that landed beyond the budget is its own spill event — but walks
+// the run only when it ends over budget.
+func (s *Storage) noteEnqueueTrain(ts []stream.Tuple, size, totalBytes int) {
+	if totalBytes <= s.budget {
+		s.NoteEnqueue(size, totalBytes)
+		return
+	}
+	running := totalBytes - size
+	for i := range ts {
+		sz := ts[i].MemSize()
+		running += sz
+		s.NoteEnqueue(sz, running)
 	}
 }
 

@@ -11,19 +11,20 @@ import (
 	"repro/internal/stream"
 )
 
-// E21HotPath measures the batched train path against the serial-kernel
-// baseline on the E18 workload shape (filter -> map -> tumble chains),
-// single worker, wall clock. The two rows run the identical network and
-// input; the only difference is Config.SerialKernels, which forces the
-// pre-batching per-tuple train body. The speedup column is the tentpole
-// claim (one kernel dispatch per train plus pooled buffers vs one
-// virtual call per tuple), and allocs/tuple is the whole-path allocation
-// rate — ingest, train, emit, delivery — from runtime.MemStats deltas.
-// The deterministic 0-allocs/op claim for the steady-state train body
-// alone is pinned separately by the engine's hot-path guard tests.
+// E21HotPath measures what train scheduling buys on the E18 workload
+// shape (filter -> map -> tumble chains), single worker, wall clock. The
+// two rows run the identical network and input through the engine's one
+// train body; the only difference is the scheduler's train cap — 1 versus
+// the default — the knob the paper's §2.3 already has. The ratio column
+// is the batching gain (one queue lock, one kernel dispatch, one emission
+// flush per train instead of per tuple), and allocs/tuple is the
+// whole-path allocation rate — train, emit, delivery — from
+// runtime.MemStats deltas. The deterministic 0-allocs/op claim for the
+// steady-state train body alone is pinned separately by the engine's
+// hot-path tests.
 func E21HotPath(scale float64) *Table {
-	t := &Table{ID: "E21", Title: "batched kernels + pooling vs serial per-tuple train path (1 worker, wall clock)",
-		Header: []string{"mode", "tuples", "wall ms", "Ktuples/s", "speedup", "allocs/tuple"}}
+	t := &Table{ID: "E21", Title: "train scheduling gain through the one train body: train cap 1 vs default (1 worker, wall clock)",
+		Header: []string{"mode", "tuples", "wall ms", "Ktuples/s", "ratio", "allocs/tuple"}}
 
 	const chains = 4
 	per := scaled(100_000, scale)
@@ -55,8 +56,8 @@ func E21HotPath(scale float64) *Table {
 		inputs[i] = fmt.Sprintf("in%d", i)
 	}
 
-	run := func(serial bool) (time.Duration, float64, int) {
-		e, err := engine.New(build(), engine.Config{SerialKernels: serial})
+	run := func(train int) (time.Duration, float64, int) {
+		e, err := engine.New(build(), engine.Config{Scheduler: engine.NewTrainScheduler(train)})
 		if err != nil {
 			panic(err)
 		}
@@ -80,24 +81,22 @@ func E21HotPath(scale float64) *Table {
 		return el, allocs, int(e.Metrics().Counter("engine.delivered").Value())
 	}
 
-	var serialMs float64
-	serialOuts, batchedOuts := 0, 0
-	for _, mode := range []string{"serial-kernel", "batched"} {
-		serial := mode == "serial-kernel"
-		el, allocs, outs := run(serial)
+	var baseMs float64
+	var outs []int
+	for _, train := range []int{1, engine.DefaultMaxTrain} {
+		el, allocs, n := run(train)
 		ms := float64(el.Nanoseconds()) / 1e6
-		if serial {
-			serialMs = ms
-			serialOuts = outs
-		} else {
-			batchedOuts = outs
+		if baseMs == 0 {
+			baseMs = ms
 		}
-		t.Add(mode, total, ms, float64(total)/1e3/(ms/1e3), serialMs/ms, allocs)
+		outs = append(outs, n)
+		t.Add(fmt.Sprintf("train=%d", train), total, ms, float64(total)/1e3/(ms/1e3), baseMs/ms, allocs)
 	}
-	if serialOuts != batchedOuts {
-		t.Note("OUTPUT MISMATCH: serial-kernel delivered %d, batched %d", serialOuts, batchedOuts)
+	if outs[0] != outs[1] {
+		t.Note("OUTPUT MISMATCH: train=1 delivered %d, train=%d delivered %d", outs[0], engine.DefaultMaxTrain, outs[1])
 	} else {
-		t.Note("both modes delivered %d outputs; allocs/tuple is the whole path (ingest through delivery), not just the train body", serialOuts)
+		t.Note("both modes delivered %d outputs; allocs/tuple is the measured region (run through delivery), not just the train body", outs[0])
 	}
+	t.Note("NumCPU=%d GOMAXPROCS=%d", runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	return t
 }

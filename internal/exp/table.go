@@ -128,7 +128,7 @@ func Registry() []Experiment {
 		{"E18B", "runtime hot-box autosplit on Zipf keys", E18bAutoSplit},
 		{"E19", "observability plane overhead", E19Observability},
 		{"E20", "latency-SLO plane: sketches, forecast, attribution", E20LatencySLO},
-		{"E21", "batched kernels + pooling vs serial train path", E21HotPath},
+		{"E21", "train scheduling gain: train cap 1 vs default, one train body", E21HotPath},
 		{"E22", "durable restart recovery from segment logs", E22Durability},
 		{"A01", "ablation: detection timeout", A01Detection},
 		{"A02", "ablation: flow-message period", A02FlowPeriod},

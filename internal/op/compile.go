@@ -15,8 +15,7 @@ import "repro/internal/stream"
 //
 // Compiled closures capture bound column indices, so operators recompile
 // on every Bind; only the batch kernels use them (Process keeps the tree
-// walk, which is the serial-kernel baseline the CI hot-path guard
-// measures against).
+// walk, the reference TestKernelEquivalence diffs the kernels against).
 
 type valFn func(stream.Tuple) stream.Value
 

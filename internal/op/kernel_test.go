@@ -1,6 +1,7 @@
 package op
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/stream"
@@ -98,33 +99,42 @@ func TestKernelEquivalence(t *testing.T) {
 		{"wsort", Spec{Kind: "wsort", Params: map[string]string{"attrs": "A", "timeout": "1000", "maxbuf": "16"}}, 1},
 		{"wsort-timeout-only", Spec{Kind: "wsort", Params: map[string]string{"attrs": "A", "timeout": "1000"}}, 1},
 	}
+	// The engine hands a kernel whole trains on an untraced wall clock and
+	// one tuple at a time otherwise, so ProcessTrain(ts[i:i+1]) must equal
+	// Process just as a full train does; 2 catches an off-by-one at a
+	// train boundary.
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			serialOp, batchOp := buildBound(t, c.spec, c.nin)
-			if _, ok := batchOp.(TrainProcessor); !ok {
-				t.Fatalf("%s does not implement TrainProcessor", c.name)
-			}
-			var serialLog, batchLog []kemit
-			se, be := collectKernel(&serialLog), collectKernel(&batchLog)
-			// Several trains back to back so stateful operators (tumble
-			// windows, wsort buffers) carry state across train boundaries.
-			for round := 0; round < 4; round++ {
-				train := kernelTrain(256, uint64(1+round))
-				for i := range train {
-					serialOp.Process(0, train[i], se)
+		for _, trainLen := range []int{1, 2, 256} {
+			t.Run(fmt.Sprintf("%s/train=%d", c.name, trainLen), func(t *testing.T) {
+				serialOp, batchOp := buildBound(t, c.spec, c.nin)
+				kernel, ok := batchOp.(TrainProcessor)
+				if !ok {
+					t.Fatalf("%s does not implement TrainProcessor", c.name)
 				}
-				batchOp.(TrainProcessor).ProcessTrain(0, train, be)
-				// Time-driven operators flush on Advance; give both the
-				// same clock schedule.
-				now := int64((round + 1) * 2000)
-				serialOp.Advance(now, se)
-				batchOp.Advance(now, be)
-			}
-			diffEmissions(t, c.name, serialLog, batchLog)
-			if len(serialLog) == 0 {
-				t.Fatalf("%s: equivalence vacuous, no emissions", c.name)
-			}
-		})
+				var serialLog, batchLog []kemit
+				se, be := collectKernel(&serialLog), collectKernel(&batchLog)
+				// Several rounds back to back so stateful operators (tumble
+				// windows, wsort buffers) carry state across train boundaries.
+				for round := 0; round < 4; round++ {
+					in := kernelTrain(256, uint64(1+round))
+					for i := range in {
+						serialOp.Process(0, in[i], se)
+					}
+					for lo := 0; lo < len(in); lo += trainLen {
+						kernel.ProcessTrain(0, in[lo:lo+trainLen], be)
+					}
+					// Time-driven operators flush on Advance; give both the
+					// same clock schedule.
+					now := int64((round + 1) * 2000)
+					serialOp.Advance(now, se)
+					batchOp.Advance(now, be)
+				}
+				diffEmissions(t, c.name, serialLog, batchLog)
+				if len(serialLog) == 0 {
+					t.Fatalf("%s: equivalence vacuous, no emissions", c.name)
+				}
+			})
+		}
 	}
 }
 
