@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race chaos fuzz bench bench-smoke
+.PHONY: build test check vet race chaos fuzz bench bench-smoke bench-edge
 
 build:
 	$(GO) build ./...
@@ -34,3 +34,8 @@ bench:
 bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./... -count=1
+
+# bench-edge runs the workload the node edge dominates, five times (two
+# nodes of cheap boxes, closed loop; see BENCHMARK.json).
+bench-edge:
+	$(GO) run -C benchmark . -workload edge_sat -repeat 5

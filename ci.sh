@@ -64,6 +64,7 @@ echo "== hot-path pins"
 go test ./internal/engine/ -run 'TestTrainPathZeroAlloc' -count=1 -v
 go test ./internal/op/ -run 'TestKernelEquivalence|KernelZeroAlloc' -count=1
 go test ./internal/transport/ -run 'TestDecodeInto|TestEncodeZeroAlloc' -count=1
+go test ./internal/ha/ -run 'TestSendTrainZeroAlloc' -count=1
 
 echo "== events overhead guard"
 # The observability plane's bargain: with the event journal configured
@@ -103,6 +104,20 @@ echo "== durability overhead guard"
 # path must stay within 5% of the memory-only configuration. Durability
 # costs only when the alternative was dropping history.
 CI_DURABILITY_GUARD=1 go test ./internal/engine/ -run TestDurabilityOverheadGuard -count=1 -v
+
+echo "== train edge"
+# The train rule across the node boundary, under the race detector:
+# IngestTrain == for Ingest and SendTrain == for Send (stamps, logs, wire
+# payload, byte-identical segment files), one output-hook call per run,
+# recovery of exactly the intact prefix of a torn train, the write loop's
+# coalescing rule (lone frame at once, a backlog in scheduler order in as
+# few writes as its bytes allow), conservation of a failed write's
+# in-flight batch, route validation and per-frame trace marks in the node,
+# and the TCP (E17) and restart (E22) fault oracles, which offer trains
+# and so cross multi-tuple frames and train commits: 0 lost, 0 dup.
+go test -race ./internal/engine/ ./internal/ha/ ./internal/transport/ -run 'TrainEdge' -count=1 -timeout 120s
+go test -race ./cmd/auroranode/ -run 'TestParseRoutes|TestTCPTraceDecomposition' -count=1 -timeout 120s
+go test -race ./internal/chaos/ -run 'TestRunTCP|Restart' -count=1 -timeout 300s
 
 echo "== transport churn guard"
 # The reconnect/churn tests leak-check the transport's goroutines; run

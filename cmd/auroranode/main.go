@@ -169,6 +169,59 @@ func (m multiFlag) Set(s string) error {
 	return nil
 }
 
+// route is one -route out=peer/stream entry, resolved at start-up: where a
+// routed output's tuples go, and (with -ha-routes) the link sender that
+// owns their delivery. run collects what the output emitted during the
+// current engine run; the run loop sends it as one train when the engine
+// goes idle, so one inbound frame leaves as one outbound frame per route
+// however the engine chunked its execution (a train with a traced tuple
+// aboard executes, and emits, one tuple at a time).
+type route struct {
+	peer, stream string
+	sender       *ha.LinkSender
+	run          []stream.Tuple
+}
+
+// parseRoutes validates every -route flag against the network's outputs
+// and splits each destination into peer and remote stream. A malformed
+// destination or an output the network does not have is a start-up error
+// naming the flag: either would otherwise discard that output's tuples,
+// or leave the flag silently without effect.
+func parseRoutes(flags map[string]string, hasOutput func(string) bool) (map[string]*route, error) {
+	routes := make(map[string]*route, len(flags))
+	for out, dest := range flags {
+		peer, remote, ok := strings.Cut(dest, "/")
+		if !ok || peer == "" || remote == "" {
+			return nil, fmt.Errorf("-route %s=%s: destination must be peer/stream", out, dest)
+		}
+		if !hasOutput(out) {
+			return nil, fmt.Errorf("-route %s=%s: the network has no output %q", out, dest, out)
+		}
+		routes[out] = &route{peer: peer, stream: remote}
+	}
+	return routes, nil
+}
+
+// ingestFrame is the inbound data path for one frame from a peer, HA-
+// framed (r non-nil: dedup by link sequence first) or plain. The tuples
+// are mid-path: their traces began at the sampling edge upstream, so the
+// input must not re-sample, and the time since the sender's last mark —
+// serialization, flight, demux — is charged to the network component.
+// Every tuple of the frame ends that component at the frame's arrival
+// instant, whatever its position; then the frame is ingested as one
+// train. The caller holds the run-loop lock and runs the engine next.
+func ingestFrame(eng *engine.Engine, r *ha.LinkReceiver, hop, input string, ts []stream.Tuple, arrive int64) {
+	for i := range ts {
+		ts[i].Span.Mark(trace.KindNet, hop, arrive)
+	}
+	eng.SetRelayInput(input)
+	if r != nil {
+		r.OnBatch(ts)
+	} else {
+		eng.IngestTrain(input, ts)
+	}
+}
+
 func main() {
 	var (
 		id       = flag.String("id", "node", "node identity")
@@ -194,9 +247,9 @@ func main() {
 		sloOn    = flag.Bool("slo", false, "enable the latency-SLO plane: per-output quantile sketches, tail attribution, and cliff forecasting (served at /latency and as Prometheus histograms)")
 	)
 	peers := multiFlag{}
-	routes := multiFlag{}
+	routeFlags := multiFlag{}
 	flag.Var(peers, "peer", "peer id=host:port (repeatable)")
-	flag.Var(routes, "route", "output routing out=peer/stream (repeatable)")
+	flag.Var(routeFlags, "route", "output routing out=peer/stream (repeatable)")
 	flag.Parse()
 
 	if *netPath == "" {
@@ -205,6 +258,13 @@ func main() {
 	net, err := loadNetwork(*netPath)
 	if err != nil {
 		log.Fatalf("load network: %v", err)
+	}
+	routes, err := parseRoutes(routeFlags, func(out string) bool {
+		_, ok := net.Outputs()[out]
+		return ok
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	var tracer *trace.Tracer
 	if *traceN > 0 {
@@ -301,9 +361,10 @@ func main() {
 	// serial engine behaves exactly as before.
 	var mu sync.Mutex
 	var tcp *transport.TCP
-	// outMu guards the delivery counters and stdout printing: with a worker
-	// pool, OnOutput fires from pool goroutines. It must be distinct from
-	// mu — OnOutput runs while the run loop holds mu.
+	// outMu guards the delivery counters, the routes' collected runs and
+	// stdout printing: with a worker pool, the output hook fires from pool
+	// goroutines. It must be distinct from mu — the hook runs while the
+	// run loop holds mu.
 	var outMu sync.Mutex
 	delivered := map[string]uint64{}
 
@@ -357,6 +418,20 @@ func main() {
 			})
 		}
 	}
+	// routeMsg frames one run of a routed output. The transport queues the
+	// message, and the run is its caller's scratch, so the frame gets its
+	// own copy of the slice. The stats trailer rides along for free: every
+	// routed batch gossips the sender's current load map.
+	routeMsg := func(remoteStream string, run []stream.Tuple, ctrl []byte) transport.Msg {
+		m := transport.Msg{
+			Stream: remoteStream, Kind: transport.KindData, Ctrl: ctrl,
+			BaseSeq: run[0].Seq, Tuples: append([]stream.Tuple(nil), run...),
+		}
+		if plane != nil {
+			m.Digests = plane.Gossip()
+		}
+		return m
+	}
 	getSender := func(peer, remoteStream string) *ha.LinkSender {
 		lmu.Lock()
 		defer lmu.Unlock()
@@ -364,15 +439,7 @@ func main() {
 		s := senders[key]
 		if s == nil {
 			send := func(batch []stream.Tuple) error {
-				m := transport.Msg{
-					Stream: remoteStream, Kind: transport.KindData,
-					BaseSeq: batch[0].Seq, Tuples: batch,
-					Ctrl: ha.LinkBatchCtrl(),
-				}
-				if plane != nil {
-					m.Digests = plane.Gossip()
-				}
-				return tcp.Send(peer, m)
+				return tcp.Send(peer, routeMsg(remoteStream, batch, ha.LinkBatchCtrl()))
 			}
 			if mgr != nil {
 				// Durable route: rebuild the output log from whatever
@@ -420,18 +487,15 @@ func main() {
 		return s
 	}
 	// getReceiver's deliver closure runs with mu held (OnBatch is only
-	// invoked from the transport handler below).
+	// invoked from the transport handler below, through ingestFrame).
 	getReceiver := func(from, streamName string) *ha.LinkReceiver {
 		lmu.Lock()
 		defer lmu.Unlock()
 		key := from + "/" + streamName
 		r := receivers[key]
 		if r == nil {
-			r = ha.NewLinkReceiver(
-				func(t stream.Tuple) {
-					t.Span.Mark(trace.KindNet, from+">"+*id, time.Now().UnixNano())
-					eng.Ingest(streamName, t)
-				},
+			r = ha.NewLinkReceiverTrain(
+				func(ts []stream.Tuple) { eng.IngestTrain(streamName, ts) },
 				func(recv uint64) {
 					// Checkpoint before the ack leaves: the upstream may
 					// truncate its log the moment it sees recv, so this
@@ -452,39 +516,47 @@ func main() {
 		return r
 	}
 
-	eng.OnOutput(func(name string, t stream.Tuple) {
+	if *haRoutes {
+		// The output log owns delivery on these routes: stamped, retained
+		// until the downstream acks, replayed on reconnect.
+		for _, r := range routes {
+			r.sender = getSender(r.peer, r.stream)
+		}
+	}
+	eng.OnOutputTrain(func(name string, ts []stream.Tuple) {
 		outMu.Lock()
-		delivered[name]++
+		delivered[name] += uint64(len(ts))
 		if name == *print {
-			fmt.Println(t.String())
+			for _, t := range ts {
+				fmt.Println(t.String())
+			}
+		}
+		if r := routes[name]; r != nil {
+			r.run = append(r.run, ts...)
 		}
 		outMu.Unlock()
-		if dest, ok := routes[name]; ok {
-			i := strings.IndexByte(dest, '/')
-			if i < 0 {
-				return
-			}
-			peer, remoteStream := dest[:i], dest[i+1:]
-			if *haRoutes {
-				// The output log owns delivery now: stamped, retained until
-				// the downstream acks, replayed on reconnect.
-				getSender(peer, remoteStream).Send(t)
-				return
-			}
-			m := transport.Msg{
-				Stream: remoteStream, Kind: transport.KindData,
-				BaseSeq: t.Seq, Tuples: []stream.Tuple{t},
-			}
-			if plane != nil {
-				// The stats trailer rides along for free: every routed
-				// batch gossips the sender's current load map.
-				m.Digests = plane.Gossip()
-			}
-			if err := tcp.Send(peer, m); err != nil && !*quiet {
-				log.Printf("route %s -> %s: %v", name, dest, err)
-			}
-		}
 	})
+	// runEngine is the run loop's one step, called with mu held: run the
+	// engine until idle, then send each routed output's collected run as
+	// one train — one log append, one frame. Nothing waits for more: a run
+	// is whatever the work already in hand produced.
+	runEngine := func() {
+		eng.Run()
+		outMu.Lock()
+		defer outMu.Unlock()
+		for name, r := range routes {
+			if len(r.run) == 0 {
+				continue
+			}
+			if r.sender != nil {
+				r.sender.SendTrain(r.run)
+			} else if err := tcp.Send(r.peer, routeMsg(r.stream, r.run, nil)); err != nil && !*quiet {
+				log.Printf("route %s -> %s/%s: %v", name, r.peer, r.stream, err)
+			}
+			clear(r.run) // the log and the frame hold their own copies
+			r.run = r.run[:0]
+		}
+	}
 
 	tcp, err = transport.ListenTCP(*id, *listen, func(from string, m transport.Msg) {
 		if plane != nil && len(m.Digests) > 0 {
@@ -507,29 +579,16 @@ func main() {
 			return
 		}
 		arrive := time.Now().UnixNano()
+		var r *ha.LinkReceiver
 		if *haRoutes && ha.IsLinkBatch(m.Ctrl) {
 			// HA-framed batch: dedup by link sequence, then ingest. The
 			// receiver acks its complete prefix so the upstream log drains.
-			r := getReceiver(from, m.Stream)
-			mu.Lock()
-			defer mu.Unlock()
-			eng.SetRelayInput(m.Stream)
-			r.OnBatch(m.Tuples)
-			eng.Run()
-			return
+			r = getReceiver(from, m.Stream)
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		// Tuples arriving from a peer are mid-path: their traces began at
-		// the sampling edge upstream, so this input must not re-sample,
-		// and the time since the sender's last mark — serialization,
-		// flight, demux — is charged to the network component.
-		eng.SetRelayInput(m.Stream)
-		for _, t := range m.Tuples {
-			t.Span.Mark(trace.KindNet, from+">"+*id, arrive)
-			eng.Ingest(m.Stream, t)
-		}
-		eng.Run()
+		ingestFrame(eng, r, from+">"+*id, m.Stream, m.Tuples, arrive)
+		runEngine()
 	}, transport.LinkConfig{PingPeriod: *linkPing, BufferLimit: *linkBuf})
 	if err != nil {
 		log.Fatalf("listen: %v", err)
@@ -735,13 +794,14 @@ func main() {
 			eng.Ingest(input, t)
 			count++
 			if count%runEvery == 0 {
-				eng.Run()
+				runEngine()
 			}
 			mu.Unlock()
 		}
 		mu.Lock()
-		eng.Run()
+		runEngine()
 		eng.Drain()
+		runEngine() // Drain's flushed windows are routed output too
 		mu.Unlock()
 		stopped.Store(true)
 		if !*quiet {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/ha"
 	"repro/internal/metrics"
 	"repro/internal/op"
 	"repro/internal/query"
@@ -59,8 +60,17 @@ func (s *e2eSink) snapshot() (int, []*trace.Span) {
 // transport, tracing every tuple. Each delivered span must decompose
 // exactly (queue+proc+net == end-to-end), carry a nonzero network
 // component for the wire hop, and agree exactly with the tail engine's
-// QoS monitor.
+// QoS monitor. It runs once over plain single-tuple frames and once over
+// HA-framed five-tuple trains; inbound frames take the node's own
+// ingestFrame, and every tuple of a frame must end its network component
+// at the frame's arrival instant — not at whatever time the tuples ahead
+// of it in the frame took to ingest.
 func TestTCPTraceDecomposition(t *testing.T) {
+	t.Run("plain", func(t *testing.T) { traceDecomposition(t, 1, false) })
+	t.Run("ha-trains", func(t *testing.T) { traceDecomposition(t, 5, true) })
+}
+
+func traceDecomposition(t *testing.T, train int, haFramed bool) {
 	const n = 50
 
 	headTr := trace.NewTracer("head", 1, trace.NewRecorder(1024))
@@ -80,18 +90,31 @@ func TestTCPTraceDecomposition(t *testing.T) {
 	var tailMu sync.Mutex
 	tailEng.OnOutput(func(_ string, tup stream.Tuple) { sink.add(tup) })
 
+	// arrivals maps each span that crossed the wire to its frame's arrival
+	// instant and size (guarded by tailMu).
+	type arrival struct {
+		at    int64
+		frame int
+	}
+	arrivals := map[uint64]arrival{}
+	recv := ha.NewLinkReceiverTrain(func(ts []stream.Tuple) { tailEng.IngestTrain("mid", ts) }, nil, 0)
 	tailTCP, err := transport.ListenTCP("tail", "127.0.0.1:0", func(from string, m transport.Msg) {
 		if m.Kind != transport.KindData {
 			return
 		}
 		arrive := time.Now().UnixNano()
+		var r *ha.LinkReceiver
+		if ha.IsLinkBatch(m.Ctrl) {
+			r = recv
+		}
 		tailMu.Lock()
 		defer tailMu.Unlock()
-		tailEng.SetRelayInput(m.Stream)
 		for _, tup := range m.Tuples {
-			tup.Span.Mark(trace.KindNet, from+">tail", arrive)
-			tailEng.Ingest(m.Stream, tup)
+			if tup.Span != nil {
+				arrivals[tup.Span.ID] = arrival{at: arrive, frame: len(m.Tuples)}
+			}
 		}
+		ingestFrame(tailEng, r, from+">tail", m.Stream, m.Tuples, arrive)
 		tailEng.RunUntilIdle(0)
 	})
 	if err != nil {
@@ -108,17 +131,37 @@ func TestTCPTraceDecomposition(t *testing.T) {
 		t.Fatalf("dial tail: got %q, %v", got, err)
 	}
 
-	headEng.OnOutput(func(name string, tup stream.Tuple) {
-		if err := headTCP.Send("tail", transport.Msg{
-			Stream: "mid", Kind: transport.KindData,
-			BaseSeq: tup.Seq, Tuples: []stream.Tuple{tup},
-		}); err != nil {
+	route := func(m transport.Msg) error {
+		m.Stream, m.Kind = "mid", transport.KindData
+		m.Tuples = append([]stream.Tuple(nil), m.Tuples...)
+		return headTCP.Send("tail", m)
+	}
+	sender := ha.NewLinkSender(func(batch []stream.Tuple) error {
+		return route(transport.Msg{BaseSeq: batch[0].Seq, Tuples: batch, Ctrl: ha.LinkBatchCtrl()})
+	})
+	// A train with a traced tuple aboard executes one tuple at a time, so
+	// with every tuple traced the head's runs are single tuples; like the
+	// node's run loop, the hook collects them, so the frames on the wire
+	// carry `train` traced tuples.
+	var pending []stream.Tuple
+	headEng.OnOutputTrain(func(name string, ts []stream.Tuple) {
+		if pending = append(pending, ts...); len(pending) < train {
+			return
+		}
+		if haFramed {
+			sender.SendTrain(pending)
+		} else if err := route(transport.Msg{BaseSeq: pending[0].Seq, Tuples: pending}); err != nil {
 			t.Errorf("route mid: %v", err)
 		}
+		pending = pending[:0]
 	})
 
-	for i := 0; i < n; i++ {
-		headEng.Ingest("in", stream.NewTuple(stream.Int(int64(i)), stream.Int(int64(i%7))))
+	for i := 0; i < n; i += train {
+		run := make([]stream.Tuple, train)
+		for j := range run {
+			run[j] = stream.NewTuple(stream.Int(int64(i+j)), stream.Int(int64((i+j)%7)))
+		}
+		headEng.IngestTrain("in", run)
 		headEng.RunUntilIdle(0)
 	}
 
@@ -136,6 +179,8 @@ func TestTCPTraceDecomposition(t *testing.T) {
 		t.Fatalf("delivered %d tuples, %d traced; want %d/%d", total, len(spans), n, n)
 	}
 
+	tailMu.Lock()
+	defer tailMu.Unlock()
 	var sum int64
 	for i, sp := range spans {
 		if !sp.Done() {
@@ -149,12 +194,25 @@ func TestTCPTraceDecomposition(t *testing.T) {
 			t.Errorf("span %d crossed a real TCP hop but shows net=%d", i, nn)
 		}
 		sum += sp.Total()
+
+		arr := arrivals[sp.ID]
+		if arr.frame != train {
+			t.Errorf("span %d arrived in a frame of %d, want %d", i, arr.frame, train)
+		}
+		netEnd := int64(0)
+		for _, st := range sp.Stages {
+			if st.Kind == trace.KindNet && st.Name == "head>tail" {
+				netEnd = st.Start + st.Dur
+			}
+		}
+		if netEnd != arr.at {
+			t.Errorf("span %d: network component ends at %d, its frame arrived at %d (off by %d ns)",
+				i, netEnd, arr.at, netEnd-arr.at)
+		}
 	}
 
 	// The monitor and the traces observed the very same timestamps.
-	tailMu.Lock()
 	lat := tailEng.Metrics().Histogram("output.out.latency_ns").Snapshot()
-	tailMu.Unlock()
 	if lat.Count != n {
 		t.Fatalf("monitor observed %d deliveries, want %d", lat.Count, n)
 	}
@@ -177,6 +235,49 @@ func TestTCPTraceDecomposition(t *testing.T) {
 	}
 	if !found {
 		t.Error("no head>tail network segment in the tail's flight recorder")
+	}
+}
+
+// TestParseRoutes: every -route flag is validated at start-up. A
+// destination without a slash used to discard the output's tuples at
+// delivery time, and an unknown output name was ignored outright.
+func TestParseRoutes(t *testing.T) {
+	has := func(out string) bool { return out == "mid" || out == "alerts" }
+	cases := []struct {
+		name    string
+		flags   map[string]string
+		wantErr string
+		want    map[string][2]string // output -> {peer, stream}
+	}{
+		{"ok", map[string]string{"mid": "n2/in", "alerts": "n3/a/b"}, "",
+			map[string][2]string{"mid": {"n2", "in"}, "alerts": {"n3", "a/b"}}},
+		{"none", nil, "", map[string][2]string{}},
+		{"no slash", map[string]string{"mid": "n2"}, "-route mid=n2: destination must be peer/stream", nil},
+		{"empty peer", map[string]string{"mid": "/in"}, "-route mid=/in: destination must be peer/stream", nil},
+		{"empty stream", map[string]string{"mid": "n2/"}, "-route mid=n2/: destination must be peer/stream", nil},
+		{"unknown output", map[string]string{"nope": "n2/in"}, `-route nope=n2/in: the network has no output "nope"`, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := parseRoutes(tc.flags, has)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("error %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(tc.want) {
+				t.Fatalf("parsed %d routes, want %d", len(got), len(tc.want))
+			}
+			for out, w := range tc.want {
+				if g := got[out]; g == nil || g.peer != w[0] || g.stream != w[1] {
+					t.Errorf("route %s = %+v, want %v", out, g, w)
+				}
+			}
+		})
 	}
 }
 

@@ -134,7 +134,9 @@ func startSender(dir, proxyAddr string, cfg transport.LinkConfig, j *events.Jour
 	n.tr = tr
 	sender := ha.RecoverLinkSender(entries, func(batch []stream.Tuple) error {
 		return tr.Send("dn", transport.Msg{Stream: "data",
-			Kind: transport.KindData, Tuples: batch, Ctrl: ha.LinkBatchCtrl()})
+			Kind: transport.KindData, Ctrl: ha.LinkBatchCtrl(),
+			// The transport queues the message; batch is the sender's scratch.
+			Tuples: append([]stream.Tuple(nil), batch...)})
 	})
 	sender.Name, sender.Journal = "dn/data", j
 	sender.AttachDurable(sink)
@@ -252,10 +254,16 @@ func RunRestart(s RestartSchedule) *RestartResult {
 		killAt[1+rng.Intn(s.Tuples-1)] = true
 	}
 
-	for i := 0; i < s.Tuples; i++ {
-		// Send's return is the commit point: the tuple is fsynced in the
-		// sender's segment log before the offered set counts it.
-		node.sender.Send(stream.NewTuple(stream.Int(int64(i))))
+	// Offered in trains: one log append each.
+	fault := func(i int) bool { return restartAt[i] || killAt[i] }
+	var train []stream.Tuple
+	for next := 0; next < s.Tuples; {
+		train = nextTrain(train[:0], next, s.Tuples, fault)
+		next += len(train)
+		// SendTrain's return is the commit point: the train is fsynced in
+		// the sender's segment log before the offered set counts it.
+		node.sender.SendTrain(train)
+		i := next - 1
 		if restartAt[i] {
 			node.kill()
 			var rec int

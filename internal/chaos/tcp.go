@@ -139,7 +139,9 @@ func RunTCP(s TCPSchedule) *TCPResult {
 
 	sender = ha.NewLinkSender(func(batch []stream.Tuple) error {
 		return up.Send("dn", transport.Msg{Stream: "data",
-			Kind: transport.KindData, Tuples: batch, Ctrl: ha.LinkBatchCtrl()})
+			Kind: transport.KindData, Ctrl: ha.LinkBatchCtrl(),
+			// The transport queues the message; batch is the sender's scratch.
+			Tuples: append([]stream.Tuple(nil), batch...)})
 	})
 	up.SetOnEstablished(func(peer string, reconnected bool) {
 		if reconnected {
@@ -169,8 +171,19 @@ func RunTCP(s TCPSchedule) *TCPResult {
 		stallAt[1+rng.Intn(s.Tuples-1)] = time.Duration(100+rng.Intn(150)) * time.Millisecond
 	}
 
-	for i := 0; i < s.Tuples; i++ {
-		sender.Send(stream.NewTuple(stream.Int(int64(i))))
+	// Offered in trains, the run crosses multi-tuple frames and coalesced
+	// writes.
+	fault := func(i int) bool {
+		_, black := blackAt[i]
+		_, stall := stallAt[i]
+		return killAt[i] > 0 || black || stall
+	}
+	var train []stream.Tuple
+	for next := 0; next < s.Tuples; {
+		train = nextTrain(train[:0], next, s.Tuples, fault)
+		next += len(train)
+		sender.SendTrain(train)
+		i := next - 1
 		if n := killAt[i]; n > 0 {
 			for j := 0; j < n; j++ {
 				if rng.Intn(2) == 0 {
@@ -259,6 +272,20 @@ func RunTCP(s TCPSchedule) *TCPResult {
 		r.violate("shutdown: Close took %v under churn", r.CloseTime)
 	}
 	return r
+}
+
+// nextTrain appends the next train of payload tuples to buf: one to four
+// of them starting at payload next, ending early after a tuple fault
+// reports, so every fault still fires right after its seed-chosen tuple.
+func nextTrain(buf []stream.Tuple, next, total int, fault func(i int) bool) []stream.Tuple {
+	for n := 1 + next%4; n > 0 && next < total; n-- {
+		buf = append(buf, stream.NewTuple(stream.Int(int64(next))))
+		next++
+		if fault(next - 1) {
+			break
+		}
+	}
+	return buf
 }
 
 func linkReconnects(t *transport.TCP, peer string) (int64, bool) {

@@ -83,6 +83,13 @@ type Config struct {
 // OutputFn receives tuples delivered to a named application output.
 type OutputFn func(name string, t stream.Tuple)
 
+// OutputTrainFn receives a run of tuples delivered to a named application
+// output. The slice is the engine's emission buffer: valid for the call
+// only (copy it to retain it), and read-only — a fan-out delivers the
+// same run to its other targets afterwards. The tuples themselves are
+// disowned and may be kept.
+type OutputTrainFn func(name string, ts []stream.Tuple)
+
 // Engine executes one node's piece of an Aurora query network. The serial
 // path (Step/RunUntilIdle) executes one scheduler decision at a time, per
 // the paper's run-time model; under a wall clock the engine can instead
@@ -184,7 +191,7 @@ type Engine struct {
 	// push/pop so storage accounting never walks every queue.
 	qBytes atomic.Int64
 
-	onOutput OutputFn
+	onOutput OutputTrainFn
 	ingested atomic.Uint64
 	seq      atomic.Uint64
 	relayIn  map[string]bool
@@ -660,14 +667,13 @@ func (e *Engine) deliverTrain(targets []route, ts []stream.Tuple, now int64) {
 }
 
 // deliverOutput hands a run to an application output: the QoS monitor
-// observes it, traced spans complete, and each tuple reaches the output
-// callback or dies.
+// observes it, traced spans complete, and the run reaches the output
+// callback in one call or dies.
 func (e *Engine) deliverOutput(os *outputState, ts []stream.Tuple, now int64) {
 	os.observeTrain(ts, now)
 	e.delCtr.Add(int64(len(ts)))
 	for i := range ts {
-		tt := ts[i]
-		if sp := tt.Span; sp != nil && !sp.Done() && !os.relay {
+		if sp := ts[i].Span; sp != nil && !sp.Done() && !os.relay {
 			if e.tracer != nil {
 				e.tracer.Complete(sp, os.name, now)
 			} else {
@@ -691,20 +697,36 @@ func (e *Engine) deliverOutput(os *outputState, ts []stream.Tuple, now int64) {
 		if e.onOutput != nil {
 			// The callback (often the distributed layer's forwarder) may
 			// retain the tuple; ownership ends here.
-			tt.Disown()
-			e.onOutput(os.name, tt)
+			ts[i].Disown()
 		} else {
 			// Terminal delivery with no retaining consumer: the tuple is
 			// dead, and a pool-owned Vals goes back to the freelist.
-			tt.Recycle()
+			ts[i].Recycle()
 		}
+	}
+	if e.onOutput != nil {
+		e.onOutput(os.name, ts)
 	}
 }
 
-// OnOutput installs a callback invoked for every tuple delivered to any
-// application output; the distributed layer uses it to forward tuples to
-// downstream nodes.
-func (e *Engine) OnOutput(fn OutputFn) { e.onOutput = fn }
+// OnOutputTrain installs the output hook: it is called once per run of
+// tuples delivered to an application output (a lone tuple is a run of
+// one). The distributed layer uses it to forward a run to a downstream
+// node as one message.
+func (e *Engine) OnOutputTrain(fn OutputTrainFn) { e.onOutput = fn }
+
+// OnOutput installs fn as a per-tuple loop over OnOutputTrain's runs.
+func (e *Engine) OnOutput(fn OutputFn) {
+	if fn == nil {
+		e.onOutput = nil
+		return
+	}
+	e.OnOutputTrain(func(name string, ts []stream.Tuple) {
+		for _, t := range ts {
+			fn(name, t)
+		}
+	})
+}
 
 // SetRelayOutput marks a named output as an intermediate hop: the
 // distributed layer forwards its tuples to another node rather than to an
@@ -728,49 +750,72 @@ func (e *Engine) SetRelayInput(name string) {
 	e.relayIn[name] = true
 }
 
-// Ingest pushes one tuple onto a named input stream. Tuples with zero TS
-// are stamped with the current clock (their birth time for latency QoS);
-// tuples with zero Seq are assigned the node-local sequence (§6.2).
-// It reports whether the tuple was accepted (false when shed). Ingest is
-// safe to call concurrently with a running Step loop or RunParallel pool.
-func (e *Engine) Ingest(input string, t stream.Tuple) bool {
+// IngestTrain pushes a run of tuples onto a named input stream: one route
+// lookup, one clock read and one queue push for the run, with stamping,
+// shedding and trace sampling decided per tuple. Tuples with zero TS are
+// stamped with the current clock (their birth time for latency QoS);
+// tuples with zero Seq are assigned the node-local sequence (§6.2). The
+// engine consumes ts — it stamps the tuples and compacts the admitted ones
+// in place — and returns how many were accepted (the rest were shed).
+// IngestTrain is safe to call concurrently with a running Step loop or
+// RunParallel pool.
+func (e *Engine) IngestTrain(input string, ts []stream.Tuple) int {
 	routes, ok := e.inputs[input]
-	if !ok {
-		return false
+	if !ok || len(ts) == 0 {
+		return 0
 	}
-	// Ownership never crosses an engine boundary: whatever the caller
-	// hands in, the caller may still hold — the pool takes over only for
-	// buffers the engine's own operators draw from it.
-	t.Disown()
 	now := e.clock.Now()
-	if t.TS == 0 {
-		t.TS = now
-	}
-	if t.Seq == 0 {
-		t.Seq = e.seq.Add(1)
-	}
-	e.ingested.Add(1)
-	e.ingCtr.Inc()
-	if e.shedder != nil && e.shedder.ShouldDrop(e, input, t) {
-		e.noteDrop()
-		e.shedCtr.Inc()
-		for _, c := range e.shedByInput[input] {
-			c.Inc()
+	relay := e.relayIn[input]
+	kept := ts[:0]
+	for _, t := range ts {
+		// Ownership never crosses an engine boundary: whatever the caller
+		// hands in, the caller may still hold — the pool takes over only
+		// for buffers the engine's own operators draw from it.
+		t.Disown()
+		if t.TS == 0 {
+			t.TS = now
 		}
-		return false
+		if t.Seq == 0 {
+			t.Seq = e.seq.Add(1)
+		}
+		if e.shedder != nil && e.shedder.ShouldDrop(e, input, t) {
+			e.noteDrop()
+			e.shedCtr.Inc()
+			for _, c := range e.shedByInput[input] {
+				c.Inc()
+			}
+			continue
+		}
+		if t.Span == nil && !relay {
+			// Admitted and locally born: decide here whether to trace it. A
+			// tuple arriving with a span keeps it — its trace began upstream.
+			t.Span = e.tracer.Sample(t.TS)
+		}
+		kept = append(kept, t)
 	}
-	if t.Span == nil && !e.relayIn[input] {
-		// Admitted and locally born: decide here whether to trace it. A
-		// tuple arriving with a span keeps it — its trace began upstream.
-		t.Span = e.tracer.Sample(t.TS)
+	e.ingested.Add(uint64(len(ts)))
+	e.ingCtr.Add(int64(len(ts)))
+	if len(kept) == 0 {
+		return 0
 	}
-	one := [1]stream.Tuple{t} // a tuple is a train of one
-	e.deliverTrain(routes, one[:], now)
+	e.deliverTrain(routes, kept, now)
 	// A worker pool waiting out an idle stretch must notice new work.
 	if d := e.disp.Load(); d != nil {
 		d.kick()
 	}
-	return true
+	return len(kept)
+}
+
+// Ingest pushes one tuple onto a named input stream — a train of one. It
+// reports whether the tuple was accepted (false when shed). The one-slot
+// train comes from the train pool, not the stack: a run can reach the
+// output hook, so the slice escapes.
+func (e *Engine) Ingest(input string, t stream.Tuple) bool {
+	tb := getTrainBuf()
+	tb.ts = append(tb.ts, t)
+	n := e.IngestTrain(input, tb.ts)
+	putTrainBuf(tb)
+	return n == 1
 }
 
 func (e *Engine) noteDrop() {

@@ -70,7 +70,7 @@ func E22Durability(scale float64) *Table {
 		t.Add(c.name, seeds, pass, fail, seeds*tuples, lost, dups, restarts, recovered, replayed, suppressed)
 	}
 
-	t.Note(fmt.Sprintf("%d seeds/class, %d tuples/run; Send's return is the commit point (fsynced segment frame)", seeds, tuples))
+	t.Note(fmt.Sprintf("%d seeds/class, %d tuples/run; offered in trains of 1-4; SendTrain's return is the commit point (every entry fsynced)", seeds, tuples))
 	if totalFail == 0 {
 		t.Note("all schedules recovered with 0 lost and 0 duplicated tuples")
 	}

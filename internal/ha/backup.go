@@ -35,6 +35,7 @@ type OutputLog struct {
 	// before it is reported sent, and mirrors truncation (see durable.go).
 	durable     DurableSink
 	durableErrs uint64
+	stamped     []stream.Tuple // appendTrainLocked's reusable result
 }
 
 // NewOutputLog returns an empty log; link sequence numbers start at 1.
@@ -42,31 +43,50 @@ func NewOutputLog() *OutputLog {
 	return &OutputLog{q: stream.NewQueue(64), nextSeq: 1}
 }
 
-// Append records a tuple about to be sent, stamping it with the link's
-// next sequence number, and returns the stamped tuple (the Seq field in
-// the sent copy is the link sequence — the receiving server regenerates
-// per-tuple numbers from the base, §6.2). The tuple's original Seq is
-// retained as its origin, which EarliestOrigin exposes for dependency
-// chaining: an upstream server must keep tuples until their effects are
-// safe beyond this server's volatile state, so this server's
-// unacknowledged output counts toward its own dependency low-water mark.
+// AppendTrain records a run of tuples about to be sent, stamping them with
+// the link's next contiguous sequence numbers, and returns the stamped
+// copies (the Seq field in a sent copy is the link sequence — the
+// receiving server regenerates per-tuple numbers from the base, §6.2).
+// Each tuple's original Seq is retained as its origin, which
+// EarliestOrigin exposes for dependency chaining: an upstream server must
+// keep tuples until their effects are safe beyond this server's volatile
+// state, so this server's unacknowledged output counts toward its own
+// dependency low-water mark. ts is only read. The returned slice is the
+// log's scratch, valid until the next append: callers that append from
+// several goroutines must serialize around their use of it.
+func (l *OutputLog) AppendTrain(ts []stream.Tuple) []stream.Tuple {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.appendTrainLocked(ts)
+}
+
+// Append is AppendTrain of one tuple; it returns the stamped copy.
 func (l *OutputLog) Append(t stream.Tuple) stream.Tuple {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	origin := t.Seq
-	t.Seq = l.nextSeq
-	l.nextSeq++
-	l.sent++
-	l.q.Push(t)
-	l.origins = append(l.origins, origin)
-	if l.durable != nil {
-		// Disk first, then the caller may transmit: when Append returns,
-		// the entry is on stable storage and a crash replays it.
-		if err := l.durable.Append(origin, t); err != nil {
+	one := [1]stream.Tuple{t}
+	return l.appendTrainLocked(one[:])[0]
+}
+
+func (l *OutputLog) appendTrainLocked(ts []stream.Tuple) []stream.Tuple {
+	out := l.stamped[:0]
+	for _, t := range ts {
+		l.origins = append(l.origins, t.Seq)
+		t.Seq = l.nextSeq
+		l.nextSeq++
+		l.q.Push(t)
+		out = append(out, t)
+	}
+	l.stamped = out
+	l.sent += uint64(len(out))
+	if l.durable != nil && len(out) > 0 {
+		// Disk first, then the caller may transmit: when the append
+		// returns, the run is on stable storage and a crash replays it.
+		if err := l.durable.AppendTrain(l.origins[len(l.origins)-len(out):], out); err != nil {
 			l.durableErrs++
 		}
 	}
-	return t
+	return out
 }
 
 // EarliestOrigin returns the smallest origin sequence among retained
@@ -260,6 +280,24 @@ type Dedup struct {
 func (d *Dedup) Admit(linkSeq uint64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	return d.admitLocked(linkSeq)
+}
+
+// AdmitTrain runs Admit over a batch under one lock, compacting the fresh
+// tuples to the front of ts in arrival order, and returns that prefix.
+func (d *Dedup) AdmitTrain(ts []stream.Tuple) []stream.Tuple {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	fresh := ts[:0]
+	for _, t := range ts {
+		if d.admitLocked(t.Seq) {
+			fresh = append(fresh, t)
+		}
+	}
+	return fresh
+}
+
+func (d *Dedup) admitLocked(linkSeq uint64) bool {
 	if linkSeq > d.last {
 		if linkSeq > d.last+1 {
 			if d.holes == nil {

@@ -13,17 +13,17 @@ import (
 // sender can rebuild its output queue and resume the resync protocol as
 // if the link had merely dropped.
 
-// DurableSink is the stable-storage half of an output log. Append is
-// called under the log's lock before the tuple is considered sent: when
-// it returns, the entry must be on disk (the segment log fsyncs per
-// append), making Send's return the durability commit point. The tuple's
-// Seq field carries the link sequence; origin is the tuple's original
-// node-local sequence, both of which recovery must return intact.
+// DurableSink is the stable-storage half of an output log. AppendTrain is
+// called under the log's lock before the run is considered sent: when it
+// returns, every entry must be on disk (the output sink fsyncs each),
+// making SendTrain's return the durability commit point. Each tuple's Seq field carries the link sequence;
+// origins[i] is ts[i]'s original node-local sequence, both of which
+// recovery must return intact. Neither slice may be retained.
 // TruncateBefore mirrors back-channel truncation; it may retain more
 // than asked (whole-segment granularity) — recovery tolerates the
 // excess, the receiver's dedup suppresses it.
 type DurableSink interface {
-	Append(origin uint64, t stream.Tuple) error
+	AppendTrain(origins []uint64, ts []stream.Tuple) error
 	TruncateBefore(seq uint64) error
 }
 

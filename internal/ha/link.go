@@ -44,19 +44,31 @@ type LinkSender struct {
 
 // NewLinkSender wraps an output log around send, which transmits one
 // batch of already-stamped tuples (its error is advisory: a failed send
-// leaves the tuples retained, so a later Resync retransmits them).
+// leaves the tuples retained, so a later Resync retransmits them). The
+// batch is the sender's scratch, valid for the call only: a send that
+// queues the tuples instead of encoding them must copy the slice.
 func NewLinkSender(send func([]stream.Tuple) error) *LinkSender {
 	return &LinkSender{log: NewOutputLog(), send: send}
 }
 
-// Send stamps the tuple with the link's next sequence, retains it, and
-// transmits it. Transmission failure is not an error for the caller —
-// the tuple is safe in the log and will be replayed.
-func (s *LinkSender) Send(t stream.Tuple) {
+// SendTrain stamps the run with the link's next contiguous sequences,
+// retains it (one log append, on disk before it returns when the log is
+// durable), and transmits it as one batch. Transmission failure is not an error for the
+// caller — the run is safe in the log and will be replayed. ts is only
+// read.
+func (s *LinkSender) SendTrain(ts []stream.Tuple) {
+	if len(ts) == 0 {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	stamped := s.log.Append(t)
-	_ = s.send([]stream.Tuple{stamped})
+	_ = s.send(s.log.AppendTrain(ts))
+}
+
+// Send is SendTrain of one tuple.
+func (s *LinkSender) Send(t stream.Tuple) {
+	one := [1]stream.Tuple{t}
+	s.SendTrain(one[:])
 }
 
 // Ack records the receiver's complete-prefix acknowledgement: everything
@@ -121,7 +133,7 @@ func (s *LinkSender) Log() *OutputLog { return s.log }
 // every ackEvery admissions (plus on demand via AckNow).
 type LinkReceiver struct {
 	dedup    Dedup
-	deliver  func(stream.Tuple)
+	deliver  func([]stream.Tuple)
 	ack      func(recv uint64)
 	ackEvery int
 
@@ -129,31 +141,42 @@ type LinkReceiver struct {
 	sinceAck int
 }
 
-// NewLinkReceiver delivers admitted tuples to deliver and reports the
-// complete prefix through ack every ackEvery admissions (≤0 means every
-// admission). ack may be nil for a receiver acknowledged out of band.
-func NewLinkReceiver(deliver func(stream.Tuple), ack func(recv uint64), ackEvery int) *LinkReceiver {
+// NewLinkReceiverTrain delivers each batch's admitted tuples to deliver as
+// one run (a sub-slice of the batch, valid for the call only) and reports
+// the complete prefix through ack every ackEvery admissions (≤0 means
+// every admission). ack may be nil for a receiver acknowledged out of
+// band.
+func NewLinkReceiverTrain(deliver func([]stream.Tuple), ack func(recv uint64), ackEvery int) *LinkReceiver {
 	if ackEvery <= 0 {
 		ackEvery = 1
 	}
 	return &LinkReceiver{deliver: deliver, ack: ack, ackEvery: ackEvery}
 }
 
-// OnBatch admits each tuple's link sequence at most once, delivering the
-// fresh ones in order. Duplicates (reconnect replay overlap) are dropped.
-func (r *LinkReceiver) OnBatch(tuples []stream.Tuple) {
-	admitted := 0
-	for _, t := range tuples {
-		if r.dedup.Admit(t.Seq) {
-			r.deliver(t)
-			admitted++
+// NewLinkReceiver is NewLinkReceiverTrain with a per-tuple deliver looped
+// over each run.
+func NewLinkReceiver(deliver func(stream.Tuple), ack func(recv uint64), ackEvery int) *LinkReceiver {
+	return NewLinkReceiverTrain(func(ts []stream.Tuple) {
+		for _, t := range ts {
+			deliver(t)
 		}
+	}, ack, ackEvery)
+}
+
+// OnBatch admits each tuple's link sequence at most once, delivering the
+// fresh ones in order as one run. Duplicates (reconnect replay overlap)
+// are dropped; the batch is compacted in place.
+func (r *LinkReceiver) OnBatch(tuples []stream.Tuple) {
+	fresh := r.dedup.AdmitTrain(tuples)
+	if len(fresh) == 0 {
+		return
 	}
-	if admitted == 0 || r.ack == nil {
+	r.deliver(fresh)
+	if r.ack == nil {
 		return
 	}
 	r.mu.Lock()
-	r.sinceAck += admitted
+	r.sinceAck += len(fresh)
 	due := r.sinceAck >= r.ackEvery
 	if due {
 		r.sinceAck = 0

@@ -10,8 +10,9 @@ import (
 // of the protocol package): each appended entry is one frame whose
 // BaseSeq carries the origin sequence and whose single tuple carries the
 // link sequence in Seq, and truncation maps to whole-segment unlinking.
-// The log is opened with sync-on-every-append (Manager.OutputLog), which
-// is what makes LinkSender.Send's return the durability commit point.
+// The log is opened with sync-on-every-append (Manager.OutputLog), so
+// every entry of a run is on disk when AppendTrain returns, which is what
+// makes LinkSender.SendTrain's return the durability commit point.
 type OutputSink struct {
 	log *Log
 }
@@ -19,13 +20,21 @@ type OutputSink struct {
 // NewOutputSink wraps log as a durable output-log sink.
 func NewOutputSink(log *Log) *OutputSink { return &OutputSink{log: log} }
 
-// Append persists one stamped output-log entry.
-func (s *OutputSink) Append(origin uint64, t stream.Tuple) error {
-	return s.log.Append(transport.Msg{
-		Kind:    transport.KindData,
-		BaseSeq: origin,
-		Tuples:  []stream.Tuple{t},
-	})
+// AppendTrain persists a run of stamped output-log entries, one frame and
+// one fsync each. Every entry is attempted; the first failure is returned.
+func (s *OutputSink) AppendTrain(origins []uint64, ts []stream.Tuple) error {
+	var first error
+	for i := range ts {
+		err := s.log.Append(transport.Msg{
+			Kind:    transport.KindData,
+			BaseSeq: origins[i],
+			Tuples:  ts[i : i+1],
+		})
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // TruncateBefore drops sealed segments wholly below the link seq.

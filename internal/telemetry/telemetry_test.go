@@ -531,4 +531,11 @@ func TestLinksEndpoint(t *testing.T) {
 	if l.Peer != "y" || l.State != "established" || !l.Supervised || l.Dials < 1 {
 		t.Errorf("link info = %+v", l)
 	}
+	// Frames per write is read off the running node: both counters are in
+	// the payload, side by side.
+	for _, key := range []string{`"msgs_sent":`, `"bytes_sent":`, `"writes":`} {
+		if !strings.Contains(string(body), key) {
+			t.Errorf("/links payload lacks %s: %s", key, body)
+		}
+	}
 }

@@ -56,9 +56,9 @@ type LinkConfig struct {
 	// long, and an outbound dial (TCP connect + hello round trip) gives
 	// up after it. Default 3s.
 	HandshakeTimeout time.Duration
-	// WriteTimeout bounds a single frame write; a peer that stops
-	// draining its socket degrades the link instead of wedging the write
-	// loop forever. Default 10s.
+	// WriteTimeout bounds a single socket write (one or more frames); a
+	// peer that stops draining its socket degrades the link instead of
+	// wedging the write loop forever. Default 10s.
 	WriteTimeout time.Duration
 	// PingPeriod, when positive, sends a tiny keepalive frame on every
 	// connection that has been write-idle for the period, so a silent
@@ -120,6 +120,9 @@ type LinkInfo struct {
 	Dropped    int64  `json:"dropped"`
 	MsgsSent   int64  `json:"msgs_sent"`
 	BytesSent  int64  `json:"bytes_sent"`
+	// Writes counts socket writes on the current connection; msgs_sent /
+	// writes is how many frames each write carried.
+	Writes int64 `json:"writes"`
 }
 
 // Link supervises the transport's relationship with one configured peer:
@@ -210,6 +213,7 @@ func (t *TCP) LinkInfos() []LinkInfo {
 		out = append(out, LinkInfo{
 			Peer: c.peer, State: LinkEstablished.String(),
 			Dropped: dropped[c.peer], MsgsSent: c.MsgsSent, BytesSent: c.BytesSent,
+			Writes: c.Writes,
 		})
 		c.mu.Unlock()
 	}
@@ -313,7 +317,7 @@ func (l *Link) info(extraDropped int64) LinkInfo {
 	l.mu.Unlock()
 	if c != nil {
 		c.mu.Lock()
-		in.MsgsSent, in.BytesSent = c.MsgsSent, c.BytesSent
+		in.MsgsSent, in.BytesSent, in.Writes = c.MsgsSent, c.BytesSent, c.Writes
 		c.mu.Unlock()
 	}
 	return in

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -28,6 +29,13 @@ var pongCtrl = []byte{1}
 // maxFrame bounds a single frame to keep a malformed peer from forcing
 // huge allocations.
 const maxFrame = 16 << 20
+
+// ioBatchBytes sizes both ends of a connection's socket I/O: the write
+// loop stops adding queued frames to a write once it holds this much, and
+// the read loop reads through a buffer this large. Nothing waits to fill
+// it — a write carries whatever was queued when the writer came back for
+// more — so it bounds memory and WFQ reordering latency, not delay.
+const ioBatchBytes = 64 << 10
 
 // Handler receives messages delivered by the TCP transport.
 type Handler func(from string, m Msg)
@@ -82,6 +90,7 @@ type Conn struct {
 
 	BytesSent int64
 	MsgsSent  int64
+	Writes    int64 // socket writes; MsgsSent/Writes is the coalescing factor
 }
 
 // ListenTCP starts a transport listening on addr (e.g. "127.0.0.1:0").
@@ -439,18 +448,40 @@ func (c *Conn) shutdown() (orphans []Msg, first bool) {
 	return orphans, true
 }
 
-// close is the failure path (read/write error, chaos kill): shut down
-// and let the transport requeue whatever was still queued.
-func (c *Conn) close() {
-	orphans, first := c.shutdown()
-	if !first {
+// close is the failure path (read error, chaos kill): shut down and let
+// the transport requeue whatever was still queued.
+func (c *Conn) close() { c.closeWith(nil) }
+
+// closeWith is close for the write loop, whose failed write strands the
+// batch it had already dequeued: those messages go back ahead of the
+// queued backlog (they are older), so a supervised link requeues them and
+// an unsupervised one counts them dropped. Some of the batch may have
+// reached the peer before the failure; requeueing is at-least-once, and
+// the HA link protocol's dedup makes it exactly-once. When another
+// goroutine already shut the connection down, the in-flight batch follows
+// the backlog it reported.
+func (c *Conn) closeWith(inflight []Msg) {
+	var orphans []Msg
+	for _, m := range inflight {
+		if m.Stream != pingStream {
+			orphans = append(orphans, m)
+		}
+	}
+	queued, first := c.shutdown()
+	if !first && len(orphans) == 0 {
 		return
 	}
-	c.t.connDied(c, orphans)
+	c.t.connDied(c, append(orphans, queued...))
 }
 
+// writeLoop puts queued messages on the wire. Each pass takes what the
+// scheduler holds right now, in scheduler order, up to ioBatchBytes, and
+// issues one Write for it: an idle link writes each frame the moment it
+// is queued, and a backlog that built up behind a slow Write leaves in as
+// few writes as its bytes allow.
 func (c *Conn) writeLoop() {
 	var buf []byte
+	var batch []Msg
 	wt := c.t.cfg.WriteTimeout
 	for {
 		c.mu.Lock()
@@ -461,27 +492,35 @@ func (c *Conn) writeLoop() {
 			c.mu.Unlock()
 			return
 		}
-		m, _, _ := c.sched.Next()
+		batch = batch[:0]
+		for queued := 0; queued < ioBatchBytes && c.sched.Len() > 0; {
+			m, size, _ := c.sched.Next()
+			batch = append(batch, m)
+			queued += size
+		}
 		c.mu.Unlock()
 
 		buf = buf[:0]
-		buf = binary.BigEndian.AppendUint32(buf, 0) // length placeholder
-		buf = Encode(buf, m)
-		binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+		for _, m := range batch {
+			at := len(buf)
+			buf = binary.BigEndian.AppendUint32(buf, 0) // length placeholder
+			buf = Encode(buf, m)
+			binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		}
 		if wt > 0 {
 			c.nc.SetWriteDeadline(time.Now().Add(wt))
 		}
 		if _, err := c.nc.Write(buf); err != nil {
-			// The dequeued message is lost with the conn; everything still
-			// queued is drained back by shutdown.
-			c.close()
+			c.closeWith(batch)
 			return
 		}
 		c.lastWrite.Store(time.Now().UnixNano())
 		c.mu.Lock()
 		c.BytesSent += int64(len(buf))
-		c.MsgsSent++
+		c.MsgsSent += int64(len(batch))
+		c.Writes++
 		c.mu.Unlock()
+		clear(batch) // do not pin the written tuples until the next pass
 	}
 }
 
@@ -489,13 +528,15 @@ func (c *Conn) readLoop() {
 	idle := c.t.cfg.ReadIdleTimeout
 	// One frame buffer per connection, reused across frames: Decode
 	// copies everything out of the body, so nothing the handler retains
-	// can alias it.
+	// can alias it. The socket is read through a buffer, so one read(2)
+	// brings in every frame the peer's write carried.
 	var frame []byte
+	br := bufio.NewReaderSize(c.nc, ioBatchBytes)
 	for {
 		if idle > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(idle))
 		}
-		m, err := readFrame(c.nc, &frame)
+		m, err := readFrame(br, &frame)
 		if err != nil {
 			c.close()
 			return
