@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race chaos fuzz bench bench-smoke bench-edge
+.PHONY: build test check vet race chaos fuzz bench bench-smoke bench-edge bench-idle
 
 build:
 	$(GO) build ./...
@@ -39,3 +39,8 @@ bench-smoke:
 # nodes of cheap boxes, closed loop; see BENCHMARK.json).
 bench-edge:
 	$(GO) run -C benchmark . -workload edge_sat -repeat 5
+
+# bench-idle runs the workload wake-ups and syscalls dominate, five times
+# (the same nodes at 5000 single-tuple messages/s, open loop).
+bench-idle:
+	$(GO) run -C benchmark . -workload edge_idle -repeat 5

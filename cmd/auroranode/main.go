@@ -222,6 +222,327 @@ func ingestFrame(eng *engine.Engine, r *ha.LinkReceiver, hop, input string, ts [
 	}
 }
 
+// inKey names one inbound logical stream: the peer it arrives from and the
+// stream name on the frame.
+type inKey struct{ from, stream string }
+
+// inbound is what a frame's (from, stream) resolves to, worked out once per
+// pair instead of once per frame.
+type inbound struct {
+	hop    string           // trace hop label, "from>id"
+	recv   *ha.LinkReceiver // dedup and acks for HA-framed data; nil until the first such frame
+	sender *ha.LinkSender   // the route this pair's acks truncate; nil while there is none
+}
+
+// node is one server's frame path: the engine, its routed outputs with
+// their HA senders, the HA receivers of its inbound streams, and the
+// checkpoint that must precede every ack. main builds it from the flags
+// and points the transport's handler at handle.
+type node struct {
+	id       string
+	quiet    bool
+	haRoutes bool
+	print    string
+	eng      *engine.Engine
+	plane    *stats.Plane     // nil without -stats
+	journal  *events.Journal  // nil with -events-buf 0
+	mgr      *storage.Manager // nil without -data-dir
+	ckpt     storage.NodeCheckpoint
+	routes   map[string]*route
+	send     func(peer string, m transport.Msg) error // the transport's Send
+
+	// mu serializes run-loop invocations (Step trains or one worker pool at
+	// a time; concurrent RunParallel calls are an engine panic). Ingest is
+	// engine-safe without it, but the handler takes it anyway so a serial
+	// engine behaves exactly as before.
+	mu sync.Mutex
+	// more is the More of the inbound frame being handled, copied onto
+	// everything sent while handling it: a relay with another frame already
+	// in hand lets its output queue up behind the write loop, and one with
+	// nothing else in hand writes at once. It is only a hint, so the
+	// senders that run outside the handler (resync, the ack ticker) may
+	// read a neighbouring frame's value: that costs one hand-off or one
+	// uncoalesced write, never a message.
+	more atomic.Bool
+	// outMu guards the delivery counters, the routes' collected runs and
+	// stdout printing: with a worker pool, the output hook fires from pool
+	// goroutines. It must be distinct from mu — the hook runs while the
+	// run loop holds mu.
+	outMu     sync.Mutex
+	delivered map[string]uint64
+
+	// HA-framed routes: each routed output gets a LinkSender that stamps,
+	// retains, and replays across reconnects; each inbound HA-framed
+	// stream gets a LinkReceiver that dedups and acks. Keyed by
+	// "peer/stream" — exactly the -route destination syntax. in caches
+	// what the handler needs per inbound pair; it is replaced, never
+	// modified, under lmu, so the handler reads it without a lock.
+	lmu       sync.Mutex
+	senders   map[string]*ha.LinkSender
+	receivers map[string]*ha.LinkReceiver
+	in        atomic.Pointer[map[inKey]*inbound]
+
+	ckMu      sync.Mutex
+	ckLastSig string
+}
+
+func newNode(id string, eng *engine.Engine, routes map[string]*route) *node {
+	return &node{id: id, eng: eng, routes: routes,
+		delivered: map[string]uint64{},
+		senders:   map[string]*ha.LinkSender{},
+		receivers: map[string]*ha.LinkReceiver{},
+	}
+}
+
+// saveCheckpoint snapshots the cheap-to-save, expensive-to-lose state:
+// each inbound link's complete received prefix and the plane's digest
+// seq. Called before every outbound ack (so upstream truncation never
+// outruns what this node has persisted) and from the periodic ticker.
+// Unchanged state is skipped; journalIt marks the periodic saves that
+// land in the event journal without flooding it at ack cadence.
+func (n *node) saveCheckpoint(journalIt bool) {
+	if n.mgr == nil {
+		return
+	}
+	cp := storage.NodeCheckpoint{SavedAt: time.Now().UnixNano()}
+	n.lmu.Lock()
+	if len(n.receivers) > 0 {
+		cp.DedupRecv = make(map[string]uint64, len(n.receivers))
+		for k, r := range n.receivers {
+			cp.DedupRecv[k] = r.ContiguousRecv()
+		}
+	}
+	n.lmu.Unlock()
+	if n.plane != nil {
+		cp.PlaneSeq = n.plane.Seq()
+	}
+	sig := fmt.Sprintf("%d|%v", cp.PlaneSeq, cp.DedupRecv)
+	n.ckMu.Lock()
+	defer n.ckMu.Unlock()
+	if sig == n.ckLastSig {
+		return
+	}
+	if err := n.mgr.SaveCheckpoint(cp); err != nil {
+		log.Printf("checkpoint save: %v", err)
+		return
+	}
+	n.ckLastSig = sig
+	if journalIt && n.journal != nil {
+		n.journal.Append(events.Event{
+			Time: cp.SavedAt, Kind: events.KindCheckpoint, Subject: n.id,
+			V1: float64(len(cp.DedupRecv)), V2: float64(cp.PlaneSeq),
+		})
+	}
+}
+
+// routeMsg frames one run of a routed output. The transport queues the
+// message, and the run is its caller's scratch, so the frame gets its
+// own copy of the slice. The stats trailer rides along for free: every
+// routed batch gossips the sender's current load map.
+func (n *node) routeMsg(remoteStream string, run []stream.Tuple, ctrl []byte) transport.Msg {
+	m := transport.Msg{
+		Stream: remoteStream, Kind: transport.KindData, Ctrl: ctrl,
+		BaseSeq: run[0].Seq, Tuples: append([]stream.Tuple(nil), run...),
+		More: n.more.Load(),
+	}
+	if n.plane != nil {
+		m.Digests = n.plane.Gossip()
+	}
+	return m
+}
+
+// getSender returns the HA sender of the route to peer/remoteStream,
+// building it — from the surviving segment files when the node is
+// durable — on first use.
+func (n *node) getSender(peer, remoteStream string) *ha.LinkSender {
+	n.lmu.Lock()
+	defer n.lmu.Unlock()
+	key := peer + "/" + remoteStream
+	s := n.senders[key]
+	if s != nil {
+		return s
+	}
+	send := func(batch []stream.Tuple) error {
+		return n.send(peer, n.routeMsg(remoteStream, batch, ha.LinkBatchCtrl()))
+	}
+	s = n.recoverSender(key, send)
+	s.Name = key
+	s.Journal = n.journal
+	n.senders[key] = s
+	n.in.Store(nil) // entries resolved before this sender existed lack it
+	return s
+}
+
+// recoverSender builds a durable route's sender: the output log is rebuilt
+// from whatever segments survived the last incarnation, and every Send is
+// written through to disk before it counts as committed. Without a data
+// directory (or when the log cannot be opened) the sender is memory-only.
+func (n *node) recoverSender(key string, send func([]stream.Tuple) error) *ha.LinkSender {
+	if n.mgr == nil {
+		return ha.NewLinkSender(send)
+	}
+	olog, err := n.mgr.OutputLog(key)
+	if err != nil {
+		log.Printf("output log %s: %v (route running without durability)", key, err)
+		return ha.NewLinkSender(send)
+	}
+	sink := storage.NewOutputSink(olog)
+	origins, tuples, err := sink.RecoveredEntries()
+	if err != nil {
+		log.Printf("output log %s: replay: %v (recovered prefix only)", key, err)
+	}
+	entries := make([]ha.LogEntry, len(tuples))
+	for i := range tuples {
+		entries[i] = ha.LogEntry{Origin: origins[i], Tuple: tuples[i]}
+	}
+	s := ha.RecoverLinkSender(entries, send)
+	s.AttachDurable(sink)
+	if len(entries) == 0 {
+		return s
+	}
+	if !n.quiet {
+		log.Printf("route %s: recovered %d unacknowledged entries from disk", key, len(entries))
+	}
+	if n.journal != nil {
+		corr := n.journal.NewCorr()
+		n.journal.Append(events.Event{
+			Time: time.Now().UnixNano(), Kind: events.KindRecovery,
+			Subject: key, Detail: "output log from disk", Corr: corr,
+			V1: float64(len(entries)),
+		})
+		// The corr chains this recovery to the resync that replays the
+		// rebuilt suffix.
+		s.SetCorr(corr)
+	}
+	return s
+}
+
+// resolve returns what frames of stream from peer `from` need: the trace
+// hop label, the sender their acks truncate, and — when wantRecv, for an
+// HA-framed data frame — the receiver that dedups them. The hit path is
+// one map read with no lock and no allocation; a miss (the pair's first
+// frame, its first HA-framed frame, an ack for a route not yet built)
+// fills the entry in under lmu and publishes a new map.
+func (n *node) resolve(from, streamName string, wantRecv bool) *inbound {
+	k := inKey{from, streamName}
+	if cur := n.in.Load(); cur != nil {
+		if e := (*cur)[k]; e != nil && (e.recv != nil || !wantRecv) {
+			return e
+		}
+	}
+	n.lmu.Lock()
+	defer n.lmu.Unlock()
+	key := from + "/" + streamName
+	e := &inbound{hop: from + ">" + n.id, recv: n.receivers[key], sender: n.senders[key]}
+	if e.recv == nil && wantRecv {
+		e.recv = n.newReceiver(from, streamName, key)
+		n.receivers[key] = e.recv
+	}
+	next := map[inKey]*inbound{k: e}
+	if cur := n.in.Load(); cur != nil {
+		for ok, oe := range *cur {
+			if ok != k {
+				next[ok] = oe
+			}
+		}
+	}
+	n.in.Store(&next)
+	return e
+}
+
+// newReceiver builds the HA receiver of one inbound stream. Its deliver
+// and ack closures run with mu held when a frame drives them (OnBatch is
+// only invoked from handle, through ingestFrame); the periodic AckNow
+// calls ack without it.
+func (n *node) newReceiver(from, streamName, key string) *ha.LinkReceiver {
+	r := ha.NewLinkReceiverTrain(
+		func(ts []stream.Tuple) { n.eng.IngestTrain(streamName, ts) },
+		func(recv uint64) {
+			// Checkpoint before the ack leaves: the upstream may
+			// truncate its log the moment it sees recv, so this
+			// node's persisted watermark must already cover it.
+			n.saveCheckpoint(false)
+			_ = n.send(from, transport.Msg{
+				Stream: streamName, Kind: transport.KindBackChannel,
+				Ctrl: ha.AppendLinkAck(nil, recv), More: n.more.Load(),
+			})
+		}, 32)
+	if seq := n.ckpt.DedupRecv[key]; seq > 0 {
+		// The previous incarnation had acknowledged this prefix;
+		// a resync replaying it must be suppressed, not re-ingested.
+		r.SeedDedup(seq)
+	}
+	return r
+}
+
+// onOutputTrain is the engine's output hook: count, print, and collect
+// each routed output's tuples for the run loop to send.
+func (n *node) onOutputTrain(name string, ts []stream.Tuple) {
+	n.outMu.Lock()
+	n.delivered[name] += uint64(len(ts))
+	if name == n.print {
+		for _, t := range ts {
+			fmt.Println(t.String())
+		}
+	}
+	if r := n.routes[name]; r != nil {
+		r.run = append(r.run, ts...)
+	}
+	n.outMu.Unlock()
+}
+
+// runEngine is the run loop's one step, called with mu held: run the
+// engine until idle, then send each routed output's collected run as
+// one train — one log append, one frame. Nothing waits for more: a run
+// is whatever the work already in hand produced.
+func (n *node) runEngine() {
+	n.eng.Run()
+	n.outMu.Lock()
+	defer n.outMu.Unlock()
+	for name, r := range n.routes {
+		if len(r.run) == 0 {
+			continue
+		}
+		if r.sender != nil {
+			r.sender.SendTrain(r.run)
+		} else if err := n.send(r.peer, n.routeMsg(r.stream, r.run, nil)); err != nil && !n.quiet {
+			log.Printf("route %s -> %s/%s: %v", name, r.peer, r.stream, err)
+		}
+		clear(r.run) // the log and the frame hold their own copies
+		r.run = r.run[:0]
+	}
+}
+
+// handle is the transport's handler: one inbound frame from a peer.
+func (n *node) handle(from string, m transport.Msg) {
+	if n.plane != nil && len(m.Digests) > 0 {
+		n.plane.Merge(m.Digests)
+	}
+	if m.Kind == transport.KindBackChannel {
+		// Complete-prefix ack from a downstream HA receiver: truncate
+		// the matching output log.
+		if recv, ok := ha.ParseLinkAck(m.Ctrl); ok {
+			if s := n.resolve(from, m.Stream, false).sender; s != nil {
+				s.Ack(recv)
+			}
+		}
+		return
+	}
+	if m.Kind != transport.KindData {
+		return
+	}
+	arrive := time.Now().UnixNano()
+	// HA-framed batch: dedup by link sequence, then ingest. The receiver
+	// acks its complete prefix so the upstream log drains.
+	in := n.resolve(from, m.Stream, n.haRoutes && ha.IsLinkBatch(m.Ctrl))
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.more.Store(m.More)
+	defer n.more.Store(false)
+	ingestFrame(n.eng, in.recv, in.hop, m.Stream, m.Tuples, arrive)
+	n.runEngine()
+}
+
 func main() {
 	var (
 		id       = flag.String("id", "node", "node identity")
@@ -355,241 +676,23 @@ func main() {
 		eng.SetRelayOutput(name)
 	}
 
-	// mu serializes run-loop invocations (Step trains or one worker pool at
-	// a time; concurrent RunParallel calls are an engine panic). Ingest is
-	// engine-safe without it, but the handlers below take it anyway so a
-	// serial engine behaves exactly as before.
-	var mu sync.Mutex
+	n := newNode(*id, eng, routes)
+	n.quiet, n.haRoutes, n.print = *quiet, *haRoutes, *print
+	n.plane, n.journal, n.mgr, n.ckpt = plane, journal, mgr, ckpt
 	var tcp *transport.TCP
-	// outMu guards the delivery counters, the routes' collected runs and
-	// stdout printing: with a worker pool, the output hook fires from pool
-	// goroutines. It must be distinct from mu — the hook runs while the
-	// run loop holds mu.
-	var outMu sync.Mutex
-	delivered := map[string]uint64{}
-
-	// HA-framed routes: each routed output gets a LinkSender that stamps,
-	// retains, and replays across reconnects; each inbound HA-framed
-	// stream gets a LinkReceiver that dedups and acks. Keyed by
-	// "peer/stream" — exactly the -route destination syntax.
-	var lmu sync.Mutex
-	senders := map[string]*ha.LinkSender{}
-	receivers := map[string]*ha.LinkReceiver{}
-
-	// saveCheckpoint snapshots the cheap-to-save, expensive-to-lose state:
-	// each inbound link's complete received prefix and the plane's digest
-	// seq. Called before every outbound ack (so upstream truncation never
-	// outruns what this node has persisted) and from the periodic ticker.
-	// Unchanged state is skipped; journalIt marks the periodic saves that
-	// land in the event journal without flooding it at ack cadence.
-	var ckMu sync.Mutex
-	var ckLastSig string
-	saveCheckpoint := func(journalIt bool) {
-		if mgr == nil {
-			return
-		}
-		cp := storage.NodeCheckpoint{SavedAt: time.Now().UnixNano()}
-		lmu.Lock()
-		if len(receivers) > 0 {
-			cp.DedupRecv = make(map[string]uint64, len(receivers))
-			for k, r := range receivers {
-				cp.DedupRecv[k] = r.ContiguousRecv()
-			}
-		}
-		lmu.Unlock()
-		if plane != nil {
-			cp.PlaneSeq = plane.Seq()
-		}
-		sig := fmt.Sprintf("%d|%v", cp.PlaneSeq, cp.DedupRecv)
-		ckMu.Lock()
-		defer ckMu.Unlock()
-		if sig == ckLastSig {
-			return
-		}
-		if err := mgr.SaveCheckpoint(cp); err != nil {
-			log.Printf("checkpoint save: %v", err)
-			return
-		}
-		ckLastSig = sig
-		if journalIt && journal != nil {
-			journal.Append(events.Event{
-				Time: cp.SavedAt, Kind: events.KindCheckpoint, Subject: *id,
-				V1: float64(len(cp.DedupRecv)), V2: float64(cp.PlaneSeq),
-			})
-		}
-	}
-	// routeMsg frames one run of a routed output. The transport queues the
-	// message, and the run is its caller's scratch, so the frame gets its
-	// own copy of the slice. The stats trailer rides along for free: every
-	// routed batch gossips the sender's current load map.
-	routeMsg := func(remoteStream string, run []stream.Tuple, ctrl []byte) transport.Msg {
-		m := transport.Msg{
-			Stream: remoteStream, Kind: transport.KindData, Ctrl: ctrl,
-			BaseSeq: run[0].Seq, Tuples: append([]stream.Tuple(nil), run...),
-		}
-		if plane != nil {
-			m.Digests = plane.Gossip()
-		}
-		return m
-	}
-	getSender := func(peer, remoteStream string) *ha.LinkSender {
-		lmu.Lock()
-		defer lmu.Unlock()
-		key := peer + "/" + remoteStream
-		s := senders[key]
-		if s == nil {
-			send := func(batch []stream.Tuple) error {
-				return tcp.Send(peer, routeMsg(remoteStream, batch, ha.LinkBatchCtrl()))
-			}
-			if mgr != nil {
-				// Durable route: rebuild the output log from whatever
-				// segments survived the last incarnation, then write every
-				// Send through to disk before it counts as committed.
-				if olog, lerr := mgr.OutputLog(key); lerr != nil {
-					log.Printf("output log %s: %v (route running without durability)", key, lerr)
-					s = ha.NewLinkSender(send)
-				} else {
-					sink := storage.NewOutputSink(olog)
-					origins, tuples, rerr := sink.RecoveredEntries()
-					if rerr != nil {
-						log.Printf("output log %s: replay: %v (recovered prefix only)", key, rerr)
-					}
-					entries := make([]ha.LogEntry, len(tuples))
-					for i := range tuples {
-						entries[i] = ha.LogEntry{Origin: origins[i], Tuple: tuples[i]}
-					}
-					s = ha.RecoverLinkSender(entries, send)
-					s.AttachDurable(sink)
-					if len(entries) > 0 {
-						if !*quiet {
-							log.Printf("route %s: recovered %d unacknowledged entries from disk", key, len(entries))
-						}
-						if journal != nil {
-							corr := journal.NewCorr()
-							journal.Append(events.Event{
-								Time: time.Now().UnixNano(), Kind: events.KindRecovery,
-								Subject: key, Detail: "output log from disk", Corr: corr,
-								V1: float64(len(entries)),
-							})
-							// The corr chains this recovery to the resync
-							// that replays the rebuilt suffix.
-							s.SetCorr(corr)
-						}
-					}
-				}
-			} else {
-				s = ha.NewLinkSender(send)
-			}
-			s.Name = key
-			s.Journal = journal
-			senders[key] = s
-		}
-		return s
-	}
-	// getReceiver's deliver closure runs with mu held (OnBatch is only
-	// invoked from the transport handler below, through ingestFrame).
-	getReceiver := func(from, streamName string) *ha.LinkReceiver {
-		lmu.Lock()
-		defer lmu.Unlock()
-		key := from + "/" + streamName
-		r := receivers[key]
-		if r == nil {
-			r = ha.NewLinkReceiverTrain(
-				func(ts []stream.Tuple) { eng.IngestTrain(streamName, ts) },
-				func(recv uint64) {
-					// Checkpoint before the ack leaves: the upstream may
-					// truncate its log the moment it sees recv, so this
-					// node's persisted watermark must already cover it.
-					saveCheckpoint(false)
-					_ = tcp.Send(from, transport.Msg{
-						Stream: streamName, Kind: transport.KindBackChannel,
-						Ctrl: ha.AppendLinkAck(nil, recv),
-					})
-				}, 32)
-			if seq := ckpt.DedupRecv[key]; seq > 0 {
-				// The previous incarnation had acknowledged this prefix;
-				// a resync replaying it must be suppressed, not re-ingested.
-				r.SeedDedup(seq)
-			}
-			receivers[key] = r
-		}
-		return r
-	}
+	n.send = func(peer string, m transport.Msg) error { return tcp.Send(peer, m) }
 
 	if *haRoutes {
 		// The output log owns delivery on these routes: stamped, retained
 		// until the downstream acks, replayed on reconnect.
 		for _, r := range routes {
-			r.sender = getSender(r.peer, r.stream)
+			r.sender = n.getSender(r.peer, r.stream)
 		}
 	}
-	eng.OnOutputTrain(func(name string, ts []stream.Tuple) {
-		outMu.Lock()
-		delivered[name] += uint64(len(ts))
-		if name == *print {
-			for _, t := range ts {
-				fmt.Println(t.String())
-			}
-		}
-		if r := routes[name]; r != nil {
-			r.run = append(r.run, ts...)
-		}
-		outMu.Unlock()
-	})
-	// runEngine is the run loop's one step, called with mu held: run the
-	// engine until idle, then send each routed output's collected run as
-	// one train — one log append, one frame. Nothing waits for more: a run
-	// is whatever the work already in hand produced.
-	runEngine := func() {
-		eng.Run()
-		outMu.Lock()
-		defer outMu.Unlock()
-		for name, r := range routes {
-			if len(r.run) == 0 {
-				continue
-			}
-			if r.sender != nil {
-				r.sender.SendTrain(r.run)
-			} else if err := tcp.Send(r.peer, routeMsg(r.stream, r.run, nil)); err != nil && !*quiet {
-				log.Printf("route %s -> %s/%s: %v", name, r.peer, r.stream, err)
-			}
-			clear(r.run) // the log and the frame hold their own copies
-			r.run = r.run[:0]
-		}
-	}
+	eng.OnOutputTrain(n.onOutputTrain)
 
-	tcp, err = transport.ListenTCP(*id, *listen, func(from string, m transport.Msg) {
-		if plane != nil && len(m.Digests) > 0 {
-			plane.Merge(m.Digests)
-		}
-		if m.Kind == transport.KindBackChannel {
-			// Complete-prefix ack from a downstream HA receiver: truncate
-			// the matching output log.
-			if recv, ok := ha.ParseLinkAck(m.Ctrl); ok {
-				lmu.Lock()
-				s := senders[from+"/"+m.Stream]
-				lmu.Unlock()
-				if s != nil {
-					s.Ack(recv)
-				}
-			}
-			return
-		}
-		if m.Kind != transport.KindData {
-			return
-		}
-		arrive := time.Now().UnixNano()
-		var r *ha.LinkReceiver
-		if *haRoutes && ha.IsLinkBatch(m.Ctrl) {
-			// HA-framed batch: dedup by link sequence, then ingest. The
-			// receiver acks its complete prefix so the upstream log drains.
-			r = getReceiver(from, m.Stream)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		ingestFrame(eng, r, from+">"+*id, m.Stream, m.Tuples, arrive)
-		runEngine()
-	}, transport.LinkConfig{PingPeriod: *linkPing, BufferLimit: *linkBuf})
+	tcp, err = transport.ListenTCP(*id, *listen, n.handle,
+		transport.LinkConfig{PingPeriod: *linkPing, BufferLimit: *linkBuf})
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
@@ -617,14 +720,14 @@ func main() {
 		if !reconnected && mgr == nil {
 			return
 		}
-		lmu.Lock()
+		n.lmu.Lock()
 		var rs []*ha.LinkSender
-		for key, s := range senders {
+		for key, s := range n.senders {
 			if strings.HasPrefix(key, peer+"/") {
 				rs = append(rs, s)
 			}
 		}
-		lmu.Unlock()
+		n.lmu.Unlock()
 		for _, s := range rs {
 			left := s.Resync()
 			if !*quiet {
@@ -645,11 +748,11 @@ func main() {
 			var lastAt = time.Now().UnixNano()
 			for range tick.C {
 				now := time.Now().UnixNano()
-				mu.Lock()
+				n.mu.Lock()
 				eng.SampleStats(now)
 				queued := eng.QueuedTuples()
 				busy := eng.BusyNs()
-				mu.Unlock()
+				n.mu.Unlock()
 				st := plane.Store()
 				if elapsed := now - lastAt; elapsed > 0 {
 					util := float64(busy-lastBusy) / float64(elapsed)
@@ -713,7 +816,7 @@ func main() {
 			if i <= 0 {
 				continue
 			}
-			getSender(key[:i], key[i+1:])
+			n.getSender(key[:i], key[i+1:])
 		}
 	}
 
@@ -733,12 +836,12 @@ func main() {
 			tick := time.NewTicker(500 * time.Millisecond)
 			defer tick.Stop()
 			for range tick.C {
-				lmu.Lock()
-				rs := make([]*ha.LinkReceiver, 0, len(receivers))
-				for _, r := range receivers {
+				n.lmu.Lock()
+				rs := make([]*ha.LinkReceiver, 0, len(n.receivers))
+				for _, r := range n.receivers {
 					rs = append(rs, r)
 				}
-				lmu.Unlock()
+				n.lmu.Unlock()
 				for _, r := range rs {
 					r.AckNow()
 				}
@@ -753,7 +856,7 @@ func main() {
 			tick := time.NewTicker(time.Second)
 			defer tick.Stop()
 			for range tick.C {
-				saveCheckpoint(true)
+				n.saveCheckpoint(true)
 			}
 		}()
 	}
@@ -790,43 +893,43 @@ func main() {
 				break
 			}
 			time.Sleep(time.Duration(gap))
-			mu.Lock()
+			n.mu.Lock()
 			eng.Ingest(input, t)
 			count++
 			if count%runEvery == 0 {
-				runEngine()
+				n.runEngine()
 			}
-			mu.Unlock()
+			n.mu.Unlock()
 		}
-		mu.Lock()
-		runEngine()
+		n.mu.Lock()
+		n.runEngine()
 		eng.Drain()
-		runEngine() // Drain's flushed windows are routed output too
-		mu.Unlock()
+		n.runEngine() // Drain's flushed windows are routed output too
+		n.mu.Unlock()
 		stopped.Store(true)
 		if !*quiet {
-			outMu.Lock()
+			n.outMu.Lock()
 			log.Printf("generated %d tuples in %v; deliveries: %v",
-				count, time.Since(start).Round(time.Millisecond), delivered)
-			outMu.Unlock()
+				count, time.Since(start).Round(time.Millisecond), n.delivered)
+			n.outMu.Unlock()
 		}
 		// Give routed messages a moment to flush before exiting; HA-framed
 		// routes additionally wait (bounded) for their output logs to be
 		// acknowledged empty, so a reconnect near the end loses nothing.
 		flushDeadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(flushDeadline) {
-			lmu.Lock()
+			n.lmu.Lock()
 			outstanding := 0
-			for _, s := range senders {
+			for _, s := range n.senders {
 				outstanding += s.Outstanding()
 			}
-			lmu.Unlock()
+			n.lmu.Unlock()
 			if outstanding == 0 {
 				break
 			}
 			time.Sleep(100 * time.Millisecond)
 		}
-		saveCheckpoint(false)
+		n.saveCheckpoint(false)
 		time.Sleep(200 * time.Millisecond)
 		return
 	}

@@ -480,3 +480,123 @@ func TestTCPStatsDigestGossip(t *testing.T) {
 		t.Errorf("tail ranking = %v, want head first", ranking)
 	}
 }
+
+// relayNode is a node under test with its transport replaced by a
+// recorder: one pass-all box from "in" to "mid", routed HA-framed to
+// down/mid.
+func relayNode(t *testing.T) (*node, *[]transport.Msg) {
+	t.Helper()
+	eng, err := engine.New(buildPiece("relay", "in", "b0", "mid"), engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.SetRelayOutput("mid")
+	routes, err := parseRoutes(map[string]string{"mid": "down/mid"}, func(string) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := newNode("relay", eng, routes)
+	n.quiet, n.haRoutes = true, true
+	var sent []transport.Msg
+	n.send = func(peer string, m transport.Msg) error {
+		m.Stream = peer + "/" + m.Stream
+		sent = append(sent, m)
+		return nil
+	}
+	routes["mid"].sender = n.getSender("down", "mid")
+	eng.OnOutputTrain(n.onOutputTrain)
+	return n, &sent
+}
+
+// haFrame is an HA-framed inbound data frame of k tuples starting at link
+// sequence base.
+func haFrame(base uint64, k int, more bool) transport.Msg {
+	ts := make([]stream.Tuple, k)
+	for i := range ts {
+		ts[i] = stream.NewTuple(stream.Int(int64(base)+int64(i)), stream.Int(1))
+		ts[i].Seq = base + uint64(i)
+	}
+	return transport.Msg{Stream: "in", Kind: transport.KindData, BaseSeq: base,
+		Tuples: ts, Ctrl: ha.LinkBatchCtrl(), More: more}
+}
+
+// TestRelayCopiesMore: everything the node sends while handling a frame —
+// the routed output frame and the HA ack — carries that frame's More, so a
+// relay with the next frame already in hand queues its output behind the
+// write loop and one with nothing else in hand writes at once. Outside a
+// frame the hint is clear.
+func TestRelayCopiesMore(t *testing.T) {
+	n, sent := relayNode(t)
+	base := uint64(1)
+	for _, more := range []bool{true, false, true} {
+		*sent = (*sent)[:0]
+		// 32 fresh tuples reach the receiver's ack cadence, so this one
+		// frame produces an ack upstream and a route frame downstream.
+		n.handle("up", haFrame(base, 32, more))
+		base += 32
+		var ack, routed int
+		for _, m := range *sent {
+			switch {
+			case m.Kind == transport.KindBackChannel && m.Stream == "up/in":
+				ack++
+			case m.Kind == transport.KindData && m.Stream == "down/mid" && len(m.Tuples) == 32:
+				routed++
+			default:
+				t.Errorf("unexpected outbound message %+v", m)
+			}
+			if m.More != more {
+				t.Errorf("inbound More=%v: outbound %s kind %d has More=%v", more, m.Stream, m.Kind, m.More)
+			}
+		}
+		if ack != 1 || routed != 1 {
+			t.Fatalf("inbound More=%v: %d acks and %d route frames, want 1 and 1", more, ack, routed)
+		}
+		if n.more.Load() {
+			t.Error("the hint outlived the frame it came with")
+		}
+	}
+
+	// The downstream's ack finds its sender through the same cache.
+	if got := n.senders["down/mid"].Outstanding(); got != 96 {
+		t.Fatalf("%d tuples retained before the ack, want 96", got)
+	}
+	n.handle("down", transport.Msg{Stream: "mid", Kind: transport.KindBackChannel,
+		Ctrl: ha.AppendLinkAck(nil, 64)})
+	if got := n.senders["down/mid"].Outstanding(); got != 32 {
+		t.Errorf("%d tuples retained after acking 64 of 96, want 32", got)
+	}
+}
+
+// TestResolveCachesInboundPair: the handler's per-frame lookups — hop
+// label, receiver, ack sender — are resolved once per (peer, stream); the
+// hit path allocates nothing, a plain pair gains its receiver on its first
+// HA-framed frame, and a sender built later is seen by pairs resolved
+// before it existed.
+func TestResolveCachesInboundPair(t *testing.T) {
+	n, _ := relayNode(t)
+	plain := n.resolve("up", "in", false)
+	if plain.hop != "up>relay" || plain.recv != nil {
+		t.Fatalf("plain pair resolved to %+v", plain)
+	}
+	framed := n.resolve("up", "in", true)
+	if framed.recv == nil || framed.recv != n.receivers["up/in"] {
+		t.Fatal("first HA-framed frame did not get the pair its receiver")
+	}
+	if again := n.resolve("up", "in", true); again != framed {
+		t.Error("second resolve built a new entry")
+	}
+	if avg := testing.AllocsPerRun(100, func() { n.resolve("up", "in", true) }); avg != 0 {
+		t.Errorf("resolve allocates %.1f per frame on the hit path", avg)
+	}
+
+	if e := n.resolve("late", "x", false); e.sender != nil {
+		t.Fatalf("no route to late/x yet, resolved sender %p", e.sender)
+	}
+	s := n.getSender("late", "x")
+	if e := n.resolve("late", "x", false); e.sender != s {
+		t.Error("a pair resolved before its sender existed never saw it")
+	}
+	if e := n.resolve("up", "in", true); e.recv != framed.recv {
+		t.Error("rebuilding the cache replaced a live receiver")
+	}
+}

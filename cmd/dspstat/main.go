@@ -162,16 +162,18 @@ func render(w io.Writer, reports []*nodeReport, bn map[string]string) {
 		if rep.HasLink && len(rep.Links.Links) > 0 {
 			fmt.Fprintf(w, "-- links on %s --\n", rep.Links.Node)
 			tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-			fmt.Fprintln(tw, "PEER\tSTATE\tDIALS\tRECONN\tBUF\tREQUEUED\tDROPPED\tSENT\tWRITES")
+			fmt.Fprintln(tw, "PEER\tSTATE\tDIALS\tRECONN\tBUF\tREQUEUED\tDROPPED\tSENT\tWRITES\tINLINE")
 			for _, l := range rep.Links.Links {
 				state := l.State
 				if !l.Supervised {
 					state += " (unsupervised)"
 				}
-				// SENT/WRITES is the coalescing factor: frames per socket write.
-				fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
+				// SENT/WRITES is the coalescing factor: frames per socket
+				// write. INLINE/WRITES is the share of writes made by the
+				// sender itself, with no hand-off to the write loop.
+				fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 					l.Peer, state, l.Dials, l.Reconnects, l.Buffered,
-					l.Requeued, l.Dropped, l.MsgsSent, l.Writes)
+					l.Requeued, l.Dropped, l.MsgsSent, l.Writes, l.InlineWrites)
 			}
 			tw.Flush()
 		}

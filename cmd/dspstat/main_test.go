@@ -172,7 +172,7 @@ func TestDspstatRendersLinkTable(t *testing.T) {
 	var out strings.Builder
 	render(&out, []*nodeReport{rep}, nil)
 	got := out.String()
-	for _, want := range []string{"-- links on n1 --", "PEER", "SENT", "WRITES", "n2", "established"} {
+	for _, want := range []string{"-- links on n1 --", "PEER", "SENT", "WRITES", "INLINE", "n2", "established"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("link table missing %q:\n%s", want, got)
 		}

@@ -531,9 +531,10 @@ func TestLinksEndpoint(t *testing.T) {
 	if l.Peer != "y" || l.State != "established" || !l.Supervised || l.Dials < 1 {
 		t.Errorf("link info = %+v", l)
 	}
-	// Frames per write is read off the running node: both counters are in
-	// the payload, side by side.
-	for _, key := range []string{`"msgs_sent":`, `"bytes_sent":`, `"writes":`} {
+	// Frames per write, and the share of writes that skipped the write
+	// loop, are read off the running node: the counters are in the payload,
+	// side by side.
+	for _, key := range []string{`"msgs_sent":`, `"bytes_sent":`, `"writes":`, `"inline_writes":`} {
 		if !strings.Contains(string(body), key) {
 			t.Errorf("/links payload lacks %s: %s", key, body)
 		}

@@ -123,6 +123,10 @@ type LinkInfo struct {
 	// Writes counts socket writes on the current connection; msgs_sent /
 	// writes is how many frames each write carried.
 	Writes int64 `json:"writes"`
+	// InlineWrites counts the writes that finished on the sending
+	// goroutine, with no hand-off to the write loop; inline_writes / writes
+	// is the share of writes that found the link idle.
+	InlineWrites int64 `json:"inline_writes"`
 }
 
 // Link supervises the transport's relationship with one configured peer:
@@ -213,7 +217,7 @@ func (t *TCP) LinkInfos() []LinkInfo {
 		out = append(out, LinkInfo{
 			Peer: c.peer, State: LinkEstablished.String(),
 			Dropped: dropped[c.peer], MsgsSent: c.MsgsSent, BytesSent: c.BytesSent,
-			Writes: c.Writes,
+			Writes: c.Writes, InlineWrites: c.InlineWrites,
 		})
 		c.mu.Unlock()
 	}
@@ -317,7 +321,7 @@ func (l *Link) info(extraDropped int64) LinkInfo {
 	l.mu.Unlock()
 	if c != nil {
 		c.mu.Lock()
-		in.MsgsSent, in.BytesSent, in.Writes = c.MsgsSent, c.BytesSent, c.Writes
+		in.MsgsSent, in.BytesSent, in.Writes, in.InlineWrites = c.MsgsSent, c.BytesSent, c.Writes, c.InlineWrites
 		c.mu.Unlock()
 	}
 	return in
@@ -364,6 +368,7 @@ func (l *Link) attach(c *Conn, stateCB func(string, LinkState, LinkState), estCB
 	buffered := l.buf
 	l.buf = nil
 	for i, m := range buffered {
+		m.More = i+1 < len(buffered) // one flush, not a write per message
 		if err := c.send(m); err != nil {
 			// Died mid-flush: keep the rest buffered for the next attach.
 			l.buf = append(l.buf, buffered[i:]...)
@@ -403,7 +408,8 @@ func (l *Link) detach(c *Conn, orphans []Msg, stateCB func(string, LinkState, Li
 	if l.conn != nil {
 		// A replacement connection is already attached (simultaneous-dial
 		// replacement): move the backlog straight onto it.
-		for _, m := range orphans {
+		for i, m := range orphans {
+			m.More = i+1 < len(orphans)
 			if l.conn.send(m) != nil {
 				l.dropped++
 			} else {

@@ -252,9 +252,14 @@ func TestTCPLinkRequeuesDeadConnBacklog(t *testing.T) {
 
 	// Queue a burst and kill the conn before the write loop drains it:
 	// enqueue under a stopped clock isn't possible, so just enqueue many
-	// and kill immediately — some messages will still be queued.
+	// and kill immediately — some messages will still be queued. The burst
+	// says More, as a sender with the next message in hand would: without
+	// the hint each Send finds the link idle and writes at once, leaving no
+	// backlog to requeue.
 	for i := 0; i < 500; i++ {
-		if err := a.Send("nodeB", dataMsg("s", int64(i))); err != nil {
+		m := dataMsg("s", int64(i))
+		m.More = true
+		if err := a.Send("nodeB", m); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 		if i == 50 {
@@ -414,6 +419,11 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	t.Cleanup(func() { b2.Close() })
 	waitState(t, a, "nodeB", LinkEstablished)
 	sb.waitFor(t, 10) // the buffered burst flushes on attach
+	// ... as one flush: the link knows all but the last message have a
+	// successor, so it does not write each one by itself.
+	if info := linkInfo(t, a, "nodeB"); info.InlineWrites > 1 {
+		t.Errorf("reconnect flush of 10 buffered messages made %d inline writes, want at most the last", info.InlineWrites)
+	}
 }
 
 // TestLinkBufferOverflowSurfacesDrops: the reconnect buffer is bounded;

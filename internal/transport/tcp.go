@@ -30,8 +30,8 @@ var pongCtrl = []byte{1}
 // huge allocations.
 const maxFrame = 16 << 20
 
-// ioBatchBytes sizes both ends of a connection's socket I/O: the write
-// loop stops adding queued frames to a write once it holds this much, and
+// ioBatchBytes sizes both ends of a connection's socket I/O: a write pass
+// stops adding queued frames to its write once it holds this much, and
 // the read loop reads through a buffer this large. Nothing waits to fill
 // it — a write carries whatever was queued when the writer came back for
 // more — so it bounds memory and WFQ reordering latency, not delay.
@@ -59,8 +59,9 @@ type TCP struct {
 	mu      sync.Mutex
 	conns   map[string]*Conn
 	links   map[string]*Link
-	pending map[net.Conn]struct{} // accepted/dialed, hello not yet done
-	dropped map[string]int64      // per-peer messages lost with no link to requeue to
+	pending map[net.Conn]struct{}         // accepted/dialed, hello not yet done
+	dropped map[string]int64              // per-peer messages lost with no link to requeue to
+	weights map[string]map[string]float64 // peer → stream → WFQ weight, applied to every connection
 	closed  bool
 	wg      sync.WaitGroup
 
@@ -87,10 +88,26 @@ type Conn struct {
 	cond   *sync.Cond
 	sched  *WFQ
 	closed bool
+	// writing is the write turn: one goroutine at a time — the write loop,
+	// or a sender that found the link idle — is between taking its batch
+	// and accounting for its write. batch is that batch, and it outlives
+	// the turn when a sender's attempt came up short: a non-empty batch
+	// with writing clear is an unwritten remainder, which the write loop
+	// sends before anything else. frames, written and try belong to the
+	// holder of the turn.
+	writing bool
+	batch   []Msg
+	frames  []byte     // batch, framed and encoded
+	written int        // prefix of frames already on the socket
+	try     *tryWriter // nil: this connection is written by the write loop only
 
 	BytesSent int64
 	MsgsSent  int64
 	Writes    int64 // socket writes; MsgsSent/Writes is the coalescing factor
+	// InlineWrites counts the writes that finished a batch on the sending
+	// goroutine; InlineWrites/Writes is the share that skipped the hand-off
+	// to the write loop.
+	InlineWrites int64
 }
 
 // ListenTCP starts a transport listening on addr (e.g. "127.0.0.1:0").
@@ -115,6 +132,7 @@ func ListenTCP(id, addr string, handler Handler, cfg ...LinkConfig) (*TCP, error
 		links:   map[string]*Link{},
 		pending: map[net.Conn]struct{}{},
 		dropped: map[string]int64{},
+		weights: map[string]map[string]float64{},
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -232,7 +250,7 @@ func (t *TCP) dialPeer(addr string) (string, error) {
 // drained onto the survivor.
 func (t *TCP) startConn(peer string, nc net.Conn, outbound bool) {
 	c := &Conn{peer: peer, nc: nc, t: t, outbound: outbound, sched: NewWFQ(),
-		donec: make(chan struct{})}
+		donec: make(chan struct{}), try: newTryWriter(nc)}
 	c.cond = sync.NewCond(&c.mu)
 	c.lastWrite.Store(time.Now().UnixNano())
 
@@ -241,6 +259,9 @@ func (t *TCP) startConn(peer string, nc net.Conn, outbound bool) {
 		t.mu.Unlock()
 		nc.Close()
 		return
+	}
+	for stream, w := range t.weights[peer] {
+		c.sched.SetWeight(stream, w) // validated when it was stored
 	}
 	var orphans []Msg
 	if old, ok := t.conns[peer]; ok && !old.isClosed() {
@@ -337,13 +358,27 @@ func (t *TCP) Send(peer string, m Msg) error {
 }
 
 // SetWeight sets the WFQ weight of one logical stream to a peer —
-// prescribed by QoS specifications or contractual obligations (§4.3).
+// prescribed by QoS specifications or contractual obligations (§4.3). The
+// weight belongs to the peer, not to the connection that happens to carry
+// its traffic: it is applied to the current connection's scheduler, to
+// every later one, and is accepted for a supervised peer (AddPeer) whose
+// link is still connecting or degraded.
 func (t *TCP) SetWeight(peer, stream string, weight float64) error {
+	if weight <= 0 {
+		return fmt.Errorf("transport: weight must be positive, got %g", weight)
+	}
 	t.mu.Lock()
-	c, ok := t.conns[peer]
-	t.mu.Unlock()
-	if !ok {
+	defer t.mu.Unlock()
+	c := t.conns[peer]
+	if c == nil && t.links[peer] == nil {
 		return fmt.Errorf("transport: no connection to %q", peer)
+	}
+	if t.weights[peer] == nil {
+		t.weights[peer] = map[string]float64{}
+	}
+	t.weights[peer][stream] = weight
+	if c == nil {
+		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -401,7 +436,18 @@ func (t *TCP) Close() error {
 	return nil
 }
 
+// send queues a message for the wire and never blocks. On a busy link
+// that is all it does: the scheduler orders the backlog and the write loop
+// sends it. A message that finds the link idle is first offered to
+// sendIdle, which writes it on the caller's goroutine; a sender that knows
+// it is about to send again (m.More) skips that, so the two can share a
+// write behind the write loop.
 func (c *Conn) send(m Msg) error {
+	if !m.More && c.try != nil {
+		if took, err := c.sendIdle(m); took || err != nil {
+			return err
+		}
+	}
 	size := EncodedSize(m)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -413,6 +459,33 @@ func (c *Conn) send(m Msg) error {
 	}
 	c.cond.Signal()
 	return nil
+}
+
+// sendIdle is the idle link's path. When the message is all there is —
+// nothing queued, nobody writing, no remainder pending — there is nothing
+// to order and nothing to coalesce with, so the scheduler and the hand-off
+// to the write loop would only add a wake-up: the message becomes the
+// batch and the sender takes the write turn for one non-blocking attempt.
+// (An idle stream carries no credit or debt in the WFQ, so passing it by
+// leaves the schedule of whatever queues later unchanged.) took is false
+// when the link is busy and the message still needs queueing.
+func (c *Conn) sendIdle(m Msg) (took bool, err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return false, fmt.Errorf("transport: connection to %q closed", c.peer)
+	}
+	if c.sched.Len() > 0 || c.writing || len(c.batch) > 0 {
+		return false, nil
+	}
+	c.batch = append(c.batch, m)
+	c.writePass(true)
+	if len(c.batch) > 0 || c.sched.Len() > 0 || c.closed {
+		// The write loop has work: a remainder, what other senders queued
+		// during the attempt, or a shutdown to notice.
+		c.cond.Signal()
+	}
+	return true, nil
 }
 
 func (c *Conn) isClosed() bool {
@@ -474,54 +547,106 @@ func (c *Conn) closeWith(inflight []Msg) {
 	c.t.connDied(c, append(orphans, queued...))
 }
 
-// writeLoop puts queued messages on the wire. Each pass takes what the
-// scheduler holds right now, in scheduler order, up to ioBatchBytes, and
-// issues one Write for it: an idle link writes each frame the moment it
-// is queued, and a backlog that built up behind a slow Write leaves in as
-// few writes as its bytes allow.
+// writeLoop puts queued messages on the wire whenever a sender did not do
+// so itself: a backlog, a message whose sender said more is coming, and
+// whatever a sender's non-blocking attempt left behind. It is the only
+// place a write blocks, times out, or takes the connection down.
 func (c *Conn) writeLoop() {
-	var buf []byte
-	var batch []Msg
-	wt := c.t.cfg.WriteTimeout
 	for {
 		c.mu.Lock()
-		for c.sched.Len() == 0 && !c.closed {
+		for c.writing || (c.sched.Len() == 0 && len(c.batch) == 0 && !c.closed) {
 			c.cond.Wait()
 		}
-		if c.closed {
-			c.mu.Unlock()
+		var err error
+		if !c.closed {
+			err = c.writePass(false)
+		}
+		dead := c.closed || err != nil
+		var inflight []Msg
+		if dead {
+			// A failed write strands its batch; so does a shutdown that
+			// caught a sender's attempt short. Either is conserved.
+			inflight, c.batch = c.batch, nil
+		}
+		c.mu.Unlock()
+		if dead {
+			if err != nil || len(inflight) > 0 {
+				c.closeWith(inflight)
+			}
 			return
 		}
-		batch = batch[:0]
+	}
+}
+
+// writePass is one turn at the socket, the same for both writers: take
+// what the scheduler holds right now, in scheduler order, up to
+// ioBatchBytes — unless the batch is already there: the one message an
+// idle link's sender brought, or the remainder a sender's attempt left,
+// which goes first — frame it into one buffer, issue one write, account
+// for it. An idle link writes each frame the moment it is sent, and a
+// backlog that built up behind a slow write leaves in as few writes as its
+// bytes allow.
+//
+// The write loop's turn (inline false) blocks until the buffer is written
+// or the write fails, under the write timeout; its error means the
+// connection is dead and c.batch is what was in flight. A sender's turn
+// (inline true) never blocks and never fails: what the socket did not take
+// at once stays in c.batch for the write loop. Called and returns with
+// c.mu held; the lock is released around the encode and the write.
+func (c *Conn) writePass(inline bool) error {
+	c.writing = true
+	if len(c.batch) == 0 {
 		for queued := 0; queued < ioBatchBytes && c.sched.Len() > 0; {
 			m, size, _ := c.sched.Next()
-			batch = append(batch, m)
+			c.batch = append(c.batch, m)
 			queued += size
 		}
-		c.mu.Unlock()
-
-		buf = buf[:0]
-		for _, m := range batch {
-			at := len(buf)
-			buf = binary.BigEndian.AppendUint32(buf, 0) // length placeholder
-			buf = Encode(buf, m)
-			binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
-		}
-		if wt > 0 {
-			c.nc.SetWriteDeadline(time.Now().Add(wt))
-		}
-		if _, err := c.nc.Write(buf); err != nil {
-			c.closeWith(batch)
-			return
-		}
-		c.lastWrite.Store(time.Now().UnixNano())
-		c.mu.Lock()
-		c.BytesSent += int64(len(buf))
-		c.MsgsSent += int64(len(batch))
-		c.Writes++
-		c.mu.Unlock()
-		clear(batch) // do not pin the written tuples until the next pass
 	}
+	c.mu.Unlock()
+
+	if len(c.frames) == 0 { // a new batch, not a remainder
+		c.written = 0
+		for _, m := range c.batch {
+			at := len(c.frames)
+			c.frames = binary.BigEndian.AppendUint32(c.frames, 0) // length placeholder
+			c.frames = Encode(c.frames, m)
+			binary.BigEndian.PutUint32(c.frames[at:], uint32(len(c.frames)-at-4))
+		}
+	}
+	var n int
+	var err error
+	if inline {
+		n = c.try.try(c.frames[c.written:])
+	} else {
+		// The deadline is cleared again afterwards: an expired one would
+		// fail every later non-blocking attempt before it reached the socket.
+		c.nc.SetWriteDeadline(time.Now().Add(c.t.cfg.WriteTimeout))
+		n, err = c.nc.Write(c.frames[c.written:])
+		if err == nil {
+			c.nc.SetWriteDeadline(time.Time{})
+		}
+	}
+	c.written += n
+	done := c.written == len(c.frames)
+	if n > 0 {
+		c.lastWrite.Store(time.Now().UnixNano())
+	}
+
+	c.mu.Lock()
+	c.writing = false
+	if n > 0 {
+		c.BytesSent += int64(n)
+		c.Writes++
+	}
+	if done {
+		c.MsgsSent += int64(len(c.batch))
+		if inline {
+			c.InlineWrites++
+		}
+		clear(c.batch) // do not pin the written tuples until the next pass
+		c.batch, c.frames = c.batch[:0], c.frames[:0]
+	}
+	return err
 }
 
 func (c *Conn) readLoop() {
@@ -541,6 +666,7 @@ func (c *Conn) readLoop() {
 			c.close()
 			return
 		}
+		m.More = frameBuffered(br)
 		if m.Stream == pingStream || m.Stream == helloStream {
 			// A ping request (empty Ctrl) is answered with a pong so the
 			// sender's read-idle timer sees traffic even when this side
@@ -556,6 +682,18 @@ func (c *Conn) readLoop() {
 			c.t.handler(c.peer, m)
 		}
 	}
+}
+
+// frameBuffered reports whether the reader already holds a whole further
+// frame — length prefix and body — so that delivering it will need no
+// read. A partial frame is not more input in hand: its rest may be a
+// round trip away.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4) // buffered, so it cannot fail or read
+	return uint64(br.Buffered()) >= 4+uint64(binary.BigEndian.Uint32(hdr))
 }
 
 // pingLoop keeps a write-idle connection warm so the peer's read-idle

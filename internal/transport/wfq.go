@@ -96,11 +96,25 @@ func (w *WFQ) Next() (Msg, int, bool) {
 	if best == nil {
 		return Msg{}, 0, false
 	}
-	it := best.q[0]
-	best.q = best.q[1:]
+	it := popItem(&best.q)
 	w.queued--
 	w.vtime = it.finish
 	return it.m, it.size, true
+}
+
+// popItem removes and returns the head of *q. The vacated slot is zeroed,
+// so the backing array does not keep the sent message and its tuples
+// reachable, and a queue that drains to empty starts over at the front of
+// its array instead of walking it forward into a reallocation.
+func popItem(q *[]wfqItem) wfqItem {
+	it := (*q)[0]
+	(*q)[0] = wfqItem{}
+	if len(*q) == 1 {
+		*q = (*q)[:0]
+	} else {
+		*q = (*q)[1:]
+	}
+	return it
 }
 
 // Len implements Scheduler.
@@ -129,8 +143,7 @@ func (f *FIFO) Next() (Msg, int, bool) {
 	if len(f.q) == 0 {
 		return Msg{}, 0, false
 	}
-	it := f.q[0]
-	f.q = f.q[1:]
+	it := popItem(&f.q)
 	return it.m, it.size, true
 }
 
