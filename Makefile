@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race chaos fuzz bench bench-smoke bench-edge bench-idle
+.PHONY: build test check vet race chaos fuzz bench bench-smoke bench-edge bench-idle bench-compute
 
 build:
 	$(GO) build ./...
@@ -44,3 +44,9 @@ bench-edge:
 # (the same nodes at 5000 single-tuple messages/s, open loop).
 bench-idle:
 	$(GO) run -C benchmark . -workload edge_idle -repeat 5
+
+# bench-compute runs the workload the engine and the operator kernels
+# dominate, five times (one node, five boxes ending in a 256:1 tumble,
+# closed loop).
+bench-compute:
+	$(GO) run -C benchmark . -workload compute_sat -repeat 5

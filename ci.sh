@@ -58,11 +58,17 @@ echo "== hot-path pins"
 # filter->map train — a full one and a train of one — must drain to the
 # output with zero allocations (pooled train buffers, pooled emission
 # buffers, pooled Vals), plus the kernel/codec zero-alloc pins and the
-# kernel-vs-Process equivalence at train lengths 1, 2 and 256. The speed
-# itself is guarded from outside: BENCHMARK.json's compute_sat workload
-# (throughput_ktps, cpu_us_per_tuple) saturates a core on this path.
-go test ./internal/engine/ -run 'TestTrainPathZeroAlloc' -count=1 -v
-go test ./internal/op/ -run 'TestKernelEquivalence|KernelZeroAlloc' -count=1
+# kernel-vs-Process equivalence at train lengths 1, 2 and 256 (compute_sat's
+# five boxes among the cases). The compiled expressions' int64 lane is held
+# to Eval by the differential test over edge values (±2^53±1, MinInt64,
+# MaxInt64, a float in an int column, short tuples, Mod/Div by zero) and to
+# exact int ordering by the Compare table; the ring's power-of-two index
+# mask by its capacity pin. The speed itself is guarded from outside:
+# BENCHMARK.json's compute_sat workload (throughput_ktps, cpu_us_per_tuple)
+# saturates a core on this path.
+go test ./internal/engine/ -run 'TestTrainPathZeroAlloc|TestEntryQueuePowerOfTwoCapacity' -count=1 -v
+go test ./internal/op/ -run 'TestKernelEquivalence|KernelZeroAlloc|TestCompiledMatchesEval|Nanosecond' -count=1
+go test ./internal/stream/ -run 'TestValueCompare|TestValueOrdering' -count=1
 go test ./internal/transport/ -run 'TestDecodeInto|TestEncodeZeroAlloc' -count=1
 go test ./internal/ha/ -run 'TestSendTrainZeroAlloc' -count=1
 
@@ -141,8 +147,9 @@ echo "== transport churn guard"
 go test ./internal/transport/ -run 'TestTCP' -count=2 -timeout 120s
 
 echo "== fuzz smoke"
-# Ten seconds per decoder: enough to replay the corpus and mutate a bit,
-# cheap enough to run on every change. The target list lives in fuzz.sh.
+# Ten seconds per decoder or parser: enough to replay the corpus and mutate
+# a bit, cheap enough to run on every change. The target list lives in
+# fuzz.sh.
 ./fuzz.sh 10s
 
 echo "== benchmark smoke"

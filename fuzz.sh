@@ -1,7 +1,7 @@
 #!/bin/sh
 # Every fuzz target in the repo, each given the same budget (default 10s):
 # ci.sh's smoke stage and `make fuzz` share this one list, so a new decoder
-# is added in one place.
+# or parser is added in one place.
 set -eu
 budget=${1:-10s}
 while read -r pkg target; do
@@ -12,4 +12,5 @@ done <<LIST
 ./internal/stats/ FuzzDecodeDigest
 ./internal/sketch/ FuzzDecodeSketch
 ./internal/storage/ FuzzDecodeSegment
+./internal/op/ FuzzCompiledExpr
 LIST

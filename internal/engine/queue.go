@@ -27,6 +27,11 @@ const minQueueCap = 8
 // while upstream workers and external Ingest goroutines push, and the
 // handover through the lock is what gives span marks and tuple state their
 // happens-before edge between boxes.
+//
+// The ring's capacity is always a power of two — the floor is 8, growth
+// doubles, Pop halves and PopTrain collapses to 2*DefaultMaxTrain — so a
+// slot index wraps with a mask, not a division per tuple per hop; resize
+// checks it.
 type entryQueue struct {
 	mu    sync.Mutex
 	buf   []entry
@@ -75,7 +80,7 @@ func (q *entryQueue) ForEach(fn func(entry)) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i := 0; i < q.count; i++ {
-		fn(q.buf[(q.head+i)%len(q.buf)])
+		fn(q.buf[(q.head+i)&(len(q.buf)-1)])
 	}
 }
 
@@ -86,7 +91,7 @@ func (q *entryQueue) PushSized(t stream.Tuple, now int64, size int) {
 	if q.count == len(q.buf) {
 		q.resize(len(q.buf) * 2)
 	}
-	q.buf[(q.head+q.count)%len(q.buf)] = entry{t: t, enq: now, size: size}
+	q.buf[(q.head+q.count)&(len(q.buf)-1)] = entry{t: t, enq: now, size: size}
 	q.count++
 	q.bytes += size
 	q.mu.Unlock()
@@ -100,7 +105,7 @@ func (q *entryQueue) Pop() (entry, bool) {
 	}
 	e := q.buf[q.head]
 	q.buf[q.head] = entry{}
-	q.head = (q.head + 1) % len(q.buf)
+	q.head = (q.head + 1) & (len(q.buf) - 1)
 	q.count--
 	q.bytes -= e.size
 	// Shrink once occupancy falls below a quarter of capacity so a burst
@@ -127,10 +132,11 @@ func (q *entryQueue) PopTrain(tb *trainBuf, max int) {
 		n = max
 	}
 	bytes := 0
+	mask := len(q.buf) - 1
 	for i := 0; i < n; i++ {
 		en := q.buf[q.head]
 		q.buf[q.head] = entry{}
-		q.head = (q.head + 1) % len(q.buf)
+		q.head = (q.head + 1) & mask
 		tb.ts = append(tb.ts, en.t)
 		tb.enq = append(tb.enq, en.enq)
 		tb.size = append(tb.size, en.size)
@@ -146,8 +152,7 @@ func (q *entryQueue) PopTrain(tb *trainBuf, max int) {
 	// empty ring collapses for the cost of one floor-sized allocation,
 	// and any engine that drains (they all do) returns burst memory then.
 	if floor := 2 * DefaultMaxTrain; q.count == 0 && len(q.buf) > floor {
-		q.buf = make([]entry, floor)
-		q.head = 0
+		q.resize(floor)
 	}
 	q.mu.Unlock()
 }
@@ -167,9 +172,10 @@ func (q *entryQueue) PushTrain(ts []stream.Tuple, now int64) int {
 		q.resize(nc)
 	}
 	total := 0
+	mask := len(q.buf) - 1
 	for i := range ts {
 		size := ts[i].MemSize()
-		q.buf[(q.head+q.count)%len(q.buf)] = entry{t: ts[i], enq: now, size: size}
+		q.buf[(q.head+q.count)&mask] = entry{t: ts[i], enq: now, size: size}
 		q.count++
 		total += size
 	}
@@ -236,12 +242,15 @@ func putTrainBuf(tb *trainBuf) {
 	trainBufPool.Put(tb)
 }
 
-// resize moves the ring into a buffer of capacity nc >= count; callers
-// hold q.mu.
+// resize moves the ring into a buffer of capacity nc >= count, a power
+// of two; callers hold q.mu.
 func (q *entryQueue) resize(nc int) {
+	if nc&(nc-1) != 0 {
+		panic("engine: entry queue capacity is not a power of two")
+	}
 	nb := make([]entry, nc)
 	for i := 0; i < q.count; i++ {
-		nb[i] = q.buf[(q.head+i)%len(q.buf)]
+		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
 	q.buf = nb
 	q.head = 0

@@ -118,6 +118,71 @@ func TestEntryQueueShrinkKeepsSteadyOccupancy(t *testing.T) {
 	}
 }
 
+// TestEntryQueuePowerOfTwoCapacity pins the invariant the ring's index
+// mask rests on through every capacity change — PushTrain growth by odd
+// amounts, Pop's halving, PopTrain's collapse to the floor — and checks
+// FIFO order with the head wrapped around the ring at each size.
+func TestEntryQueuePowerOfTwoCapacity(t *testing.T) {
+	q := newEntryQueue()
+	next, want := int64(0), int64(0)
+	check := func(stage string) {
+		t.Helper()
+		if c := q.Cap(); c&(c-1) != 0 || c < minQueueCap {
+			t.Fatalf("%s: Cap = %d, not a power of two >= %d", stage, c, minQueueCap)
+		}
+	}
+	pushN := func(n int) {
+		ts := make([]stream.Tuple, n)
+		for i := range ts {
+			ts[i] = tuple(next, 0)
+			next++
+		}
+		q.PushTrain(ts, 0)
+	}
+	popN := func(n int) {
+		for i := 0; i < n; i++ {
+			en, ok := q.Pop()
+			if !ok || en.t.Field(0).AsInt() != want {
+				t.Fatalf("Pop: got %v (ok=%v), want A=%d", en.t, ok, want)
+			}
+			want++
+		}
+	}
+	// Wrap the head, then grow by trains of 3, 7 and 129 tuples.
+	pushN(5)
+	popN(3)
+	for _, n := range []int{3, 7, 129, 3, 700} {
+		pushN(n)
+		check("grow")
+		popN(n / 2)
+		check("pop")
+	}
+	// Pop drains past quarter occupancy: the ring halves repeatedly.
+	popN(q.Len() - 2)
+	check("pop shrink")
+	// Regrow past the PopTrain floor, then empty it in trains: the ring
+	// collapses to 2*DefaultMaxTrain.
+	pushN(3*DefaultMaxTrain + 5)
+	check("regrow")
+	for q.Len() > 0 {
+		tb := getTrainBuf()
+		q.PopTrain(tb, DefaultMaxTrain)
+		for _, tp := range tb.ts {
+			if tp.Field(0).AsInt() != want {
+				t.Fatalf("PopTrain: A=%d, want %d", tp.Field(0).AsInt(), want)
+			}
+			want++
+		}
+		putTrainBuf(tb)
+	}
+	if c := q.Cap(); c != 2*DefaultMaxTrain {
+		t.Fatalf("Cap after PopTrain drain = %d, want %d", c, 2*DefaultMaxTrain)
+	}
+	pushN(11)
+	check("after collapse")
+	popN(11)
+}
+
 func TestEngineQueuedBytesReturnsToZero(t *testing.T) {
 	// Engine-level byte accounting regression: qBytes is maintained
 	// atomically at push/pop across both execution paths and must return

@@ -119,25 +119,27 @@ func (c *Cmp) Bind(s *stream.Schema) error {
 	return c.R.Bind(s)
 }
 
+// holds reports whether the comparison holds for a Compare result.
+func (o CmpOp) holds(c int) bool {
+	switch o {
+	case EQ:
+		return c == 0
+	case NE:
+		return c != 0
+	case LT:
+		return c < 0
+	case LE:
+		return c <= 0
+	case GT:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}
+
 // Eval implements Expr.
 func (c *Cmp) Eval(t stream.Tuple) stream.Value {
-	r := c.L.Eval(t).Compare(c.R.Eval(t))
-	var b bool
-	switch c.Op {
-	case EQ:
-		b = r == 0
-	case NE:
-		b = r != 0
-	case LT:
-		b = r < 0
-	case LE:
-		b = r <= 0
-	case GT:
-		b = r > 0
-	case GE:
-		b = r >= 0
-	}
-	return stream.Bool(b)
+	return stream.Bool(c.Op.holds(c.L.Eval(t).Compare(c.R.Eval(t))))
 }
 
 // String implements Expr.

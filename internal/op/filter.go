@@ -102,7 +102,7 @@ func (f *Filter) ProcessTrain(_ int, ts []stream.Tuple, emit Emit) {
 	}
 	if f.dual {
 		for i := range ts {
-			if pred(ts[i]) {
+			if pred(&ts[i]) {
 				emit(0, ts[i])
 			} else {
 				emit(1, ts[i])
@@ -111,7 +111,7 @@ func (f *Filter) ProcessTrain(_ int, ts []stream.Tuple, emit Emit) {
 		return
 	}
 	for i := range ts {
-		if pred(ts[i]) {
+		if pred(&ts[i]) {
 			emit(0, ts[i])
 		}
 	}
@@ -245,7 +245,7 @@ func (m *Map) ProcessTrain(_ int, ts []stream.Tuple, emit Emit) {
 		return
 	}
 	for i := range ts {
-		t := ts[i]
+		t := &ts[i]
 		vals := stream.GetVals(len(m.fast))
 		for j, f := range m.fast {
 			vals[j] = f(t)

@@ -127,7 +127,7 @@ func (tb *Tumble) Bind(in []*stream.Schema) ([]*stream.Schema, error) {
 // values equal the window's, field by field. Direct Value equality
 // replaces the formatted-string key of earlier versions — same window
 // boundaries over typed columns, without a per-tuple strconv allocation.
-func (tb *Tumble) sameGroup(t stream.Tuple) bool {
+func (tb *Tumble) sameGroup(t *stream.Tuple) bool {
 	for i, idx := range tb.groupIdx {
 		if !t.Field(idx).Equal(tb.curVals[i]) {
 			return false
@@ -139,7 +139,7 @@ func (tb *Tumble) sameGroup(t stream.Tuple) bool {
 // openWindow starts a window at t, copying the group-by values into the
 // reused curVals backing (Values are copied by value, so recycling t's
 // Vals later cannot corrupt the window state).
-func (tb *Tumble) openWindow(t stream.Tuple) {
+func (tb *Tumble) openWindow(t *stream.Tuple) {
 	tb.open = true
 	tb.acc = tb.agg.New()
 	tb.curVals = tb.curVals[:0]
@@ -151,11 +151,11 @@ func (tb *Tumble) openWindow(t stream.Tuple) {
 
 // Process implements Operator.
 func (tb *Tumble) Process(_ int, t stream.Tuple, emit Emit) {
-	if tb.open && !tb.sameGroup(t) {
+	if tb.open && !tb.sameGroup(&t) {
 		tb.emitWindow(emit)
 	}
 	if !tb.open {
-		tb.openWindow(t)
+		tb.openWindow(&t)
 	}
 	tb.acc.Add(tb.on.Eval(t))
 }
@@ -171,7 +171,7 @@ func (tb *Tumble) ProcessTrain(_ int, ts []stream.Tuple, emit Emit) {
 		return
 	}
 	for i := range ts {
-		t := ts[i]
+		t := &ts[i]
 		if tb.open && !tb.sameGroup(t) {
 			tb.emitWindow(emit)
 		}

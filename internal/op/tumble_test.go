@@ -220,3 +220,33 @@ func TestTumbleCntEqualsLengthProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTumbleMaxMinNanosecondTimestamps: max and min over unix-ns
+// timestamps 1 ns apart keep the true extreme, though all three share a
+// float64 image — on Process and on the compiled kernel alike.
+func TestTumbleMaxMinNanosecondTimestamps(t *testing.T) {
+	const ts = int64(1760000000000000000)
+	in := []stream.Tuple{
+		stream.NewTuple(stream.Int(1), stream.Int(ts)),
+		stream.NewTuple(stream.Int(1), stream.Int(ts+1)),
+		stream.NewTuple(stream.Int(1), stream.Int(ts-1)),
+	}
+	for _, c := range []struct {
+		agg  Aggregate
+		want int64
+	}{{Max, ts + 1}, {Min, ts - 1}} {
+		out := feed(t, NewTumble(c.agg, NewCol("B"), []string{"A"}), fig2Schema, in)
+		kernel := NewTumble(c.agg, NewCol("B"), []string{"A"})
+		if _, err := kernel.Bind([]*stream.Schema{fig2Schema}); err != nil {
+			t.Fatal(err)
+		}
+		col := newCollector()
+		kernel.ProcessTrain(0, in, col.emit)
+		kernel.Flush(col.emit)
+		for path, got := range map[string][]stream.Tuple{"Process": out, "ProcessTrain": col.out(0)} {
+			if len(got) != 1 || got[0].Field(1).AsInt() != c.want {
+				t.Errorf("%s %s(T) = %v, want %d", path, c.agg.Name(), got, c.want)
+			}
+		}
+	}
+}

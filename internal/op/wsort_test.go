@@ -159,3 +159,22 @@ func TestWSortBuildValidation(t *testing.T) {
 		t.Error("unknown attr should fail at bind")
 	}
 }
+
+// TestWSortNanosecondKeys: WSort orders unix-ns keys exactly, though keys
+// within 256 ns of each other share a float64 image.
+func TestWSortNanosecondKeys(t *testing.T) {
+	const ts = int64(1760000000000000000)
+	var in []stream.Tuple
+	for i, off := range []int64{3, 1, 2, 0} {
+		in = append(in, stream.NewTuple(stream.Int(ts+off), stream.Int(int64(i))))
+	}
+	out := feed(t, NewWSort([]string{"A"}, 1_000_000), fig2Schema, in)
+	if len(out) != 4 {
+		t.Fatalf("got %d tuples, want 4", len(out))
+	}
+	for i, tp := range out {
+		if got := tp.Field(0).AsInt() - ts; got != int64(i) {
+			t.Fatalf("position %d holds T+%d:\n%s", i, got, stream.FormatTuples(out))
+		}
+	}
+}

@@ -5,8 +5,10 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Kind enumerates the primitive types a stream field may carry.
@@ -121,35 +123,40 @@ func (v Value) AsBool() bool {
 // Equal reports deep equality of two values, including kind.
 func (v Value) Equal(o Value) bool { return v == o }
 
-// Less reports whether v orders before o. Values of different kinds order
-// by kind; nulls order first. Cross-numeric comparison (int vs float) uses
-// float semantics so that sort attributes may mix the two.
-func (v Value) Less(o Value) bool {
-	if isNumeric(v.kind) && isNumeric(o.kind) {
-		return v.AsFloat() < o.AsFloat()
-	}
-	if v.kind != o.kind {
-		return v.kind < o.kind
-	}
-	switch v.kind {
-	case KindString:
-		return v.s < o.s
-	case KindBool:
-		return v.i < o.i
-	default:
-		return false
-	}
-}
+// Less reports whether v orders before o, per Compare.
+func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
 
 func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 
-// Compare returns -1, 0, or +1 according to the Less ordering.
+// Compare returns -1, 0, or +1 as v orders before, with, or after o.
+// Values of different kinds order by kind; nulls order first. Two ints
+// compare exactly, as int64s: their float64 images tie above 2^53, which
+// unix-nanosecond timestamps exceed. Cross-numeric comparison (int vs
+// float) uses float semantics so that sort attributes may mix the two; a
+// NaN orders with everything.
 func (v Value) Compare(o Value) int {
-	switch {
-	case v.Less(o):
-		return -1
-	case o.Less(v):
-		return 1
+	if v.kind == KindInt && o.kind == KindInt {
+		return cmp.Compare(v.i, o.i)
+	}
+	if isNumeric(v.kind) && isNumeric(o.kind) {
+		a, b := v.AsFloat(), o.AsFloat()
+		switch {
+		case a < b:
+			return -1
+		case a > b:
+			return 1
+		default:
+			return 0
+		}
+	}
+	if v.kind != o.kind {
+		return cmp.Compare(v.kind, o.kind)
+	}
+	switch v.kind {
+	case KindString:
+		return strings.Compare(v.s, o.s)
+	case KindBool:
+		return cmp.Compare(v.i, o.i)
 	default:
 		return 0
 	}

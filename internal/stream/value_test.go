@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -68,6 +69,43 @@ func TestValueOrdering(t *testing.T) {
 	for _, c := range cases {
 		if got := c.a.Compare(c.b); got != c.want {
 			t.Errorf("Compare(%s, %s) = %d, want %d", c.a.Format(), c.b.Format(), got, c.want)
+		}
+	}
+}
+
+// TestValueCompareExactInts: two ints order as int64s, never through
+// their float64 images, which tie above 2^53 (unix-ns timestamps 256 ns
+// apart share one). Float ordering is kept for int-vs-float only.
+func TestValueCompareExactInts(t *testing.T) {
+	const p53 = int64(1) << 53
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{Int(p53 + 1), Int(p53), 1},
+		{Int(p53), Int(p53 + 1), -1},
+		{Int(p53 - 1), Int(p53), -1},
+		{Int(-p53 - 1), Int(-p53), -1},
+		{Int(1760000000000000001), Int(1760000000000000000), 1},
+		{Int(1760000000000000000), Int(1760000000000000255), -1},
+		{Int(math.MinInt64), Int(math.MinInt64 + 1), -1},
+		{Int(math.MaxInt64), Int(math.MaxInt64 - 1), 1},
+		{Int(math.MinInt64), Int(math.MaxInt64), -1},
+		{Int(math.MaxInt64), Int(math.MaxInt64), 0},
+		// int vs float compares as floats: these tie by design.
+		{Int(p53 + 1), Float(float64(p53)), 0},
+		{Float(float64(p53)), Int(p53 + 1), 0},
+		{Int(3), Float(3), 0},
+		{Int(3), Float(3.5), -1},
+		{Float(math.NaN()), Int(0), 0},
+		{Float(math.Inf(-1)), Int(math.MinInt64), -1},
+	}
+	for _, c := range cases {
+		if got := c.a.Compare(c.b); got != c.want {
+			t.Errorf("Compare(%s, %s) = %d, want %d", c.a.Format(), c.b.Format(), got, c.want)
+		}
+		if got := c.a.Less(c.b); got != (c.want < 0) {
+			t.Errorf("Less(%s, %s) = %v, want %v", c.a.Format(), c.b.Format(), got, c.want < 0)
 		}
 	}
 }
