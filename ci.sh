@@ -134,10 +134,15 @@ echo "== train edge"
 # read loop's More marks exactly the frames with a complete successor
 # buffered, KillConn racing senders' writes loses nothing, per-peer weights
 # survive a reconnect, the scheduler's queues release what they pop, and
-# the node copies an inbound frame's More onto what it sends.
+# the node copies an inbound frame's More onto what it sends. The node and
+# both fault oracles run the one shipping runtime (internal/node): a node
+# closed and reopened on its data directory leaks no goroutine, and a
+# durable route's link sequence survives two restarts with nothing sent
+# in between.
 go test -race ./internal/engine/ ./internal/ha/ ./internal/transport/ -run 'TrainEdge' -count=1 -timeout 120s
 go test -race ./internal/transport/ -run 'Inline|TestReadLoopMore|TestSetWeightSurvivesReconnect|TestWFQ' -count=1 -timeout 120s
-go test -race ./cmd/auroranode/ -run 'TestParseRoutes|TestTCPTraceDecomposition|TestRelayCopiesMore|TestResolveCachesInboundPair' -count=1 -timeout 120s
+go test -race ./internal/node/ -run 'TestParseRoutes|TestTCPTraceDecomposition|TestRelayCopiesMore|TestResolveCachesInboundPair|TestCloseLeaksNothing' -count=1 -timeout 120s
+go test -race ./internal/ha/ -run 'TestDurableDoubleRestartKeepsLinkSeq' -count=1 -timeout 120s
 go test -race ./internal/chaos/ -run 'TestRunTCP|Restart' -count=1 -timeout 300s
 
 echo "== transport churn guard"

@@ -58,7 +58,7 @@ func statNodeWithLinks(t *testing.T, id string, links telemetry.LinkSource) (*ht
 		float64(eng.QueuedTuples()))
 	plane.Publish(now)
 
-	srv := httptest.NewServer(telemetry.Handler(id, eng, plane, links))
+	srv := httptest.NewServer(telemetry.NewHandler(telemetry.Config{Node: id, Engine: eng, Plane: plane, Links: links}))
 	t.Cleanup(srv.Close)
 	return srv, []string{"f1", "m1"}
 }
@@ -190,7 +190,7 @@ func TestDspstatRendersLinkTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvBare := httptest.NewServer(telemetry.Handler("n1", bareEng, nil, a))
+	srvBare := httptest.NewServer(telemetry.NewHandler(telemetry.Config{Node: "n1", Engine: bareEng, Links: a}))
 	t.Cleanup(srvBare.Close)
 	repBare := scrapeNode(srvBare.Client(), srvBare.URL, "", 0)
 	if repBare.Err != nil {
@@ -264,7 +264,7 @@ func journalNode(t *testing.T, id string) (*httptest.Server, *events.Journal) {
 	if err := eng.SplitBox("f1", 2); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(telemetry.Handler(id, eng, plane, nil))
+	srv := httptest.NewServer(telemetry.NewHandler(telemetry.Config{Node: id, Engine: eng, Plane: plane}))
 	t.Cleanup(srv.Close)
 	return srv, j
 }
@@ -391,7 +391,7 @@ func latencyNode(t *testing.T, id string) *httptest.Server {
 	corr := j.NewCorr()
 	j.Append(events.Event{Kind: events.KindSLOWarn, Subject: "out", Corr: corr})
 	j.Append(events.Event{Kind: events.KindBottleneck, Subject: "out", Detail: "f1", Corr: corr})
-	srv := httptest.NewServer(telemetry.Handler(id, eng, plane, nil))
+	srv := httptest.NewServer(telemetry.NewHandler(telemetry.Config{Node: id, Engine: eng, Plane: plane}))
 	t.Cleanup(srv.Close)
 	return srv
 }

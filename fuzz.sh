@@ -13,4 +13,5 @@ done <<LIST
 ./internal/sketch/ FuzzDecodeSketch
 ./internal/storage/ FuzzDecodeSegment
 ./internal/op/ FuzzCompiledExpr
+./cmd/auroranode/ FuzzParseNetwork
 LIST

@@ -153,3 +153,57 @@ func TestResyncCorrStamp(t *testing.T) {
 		t.Errorf("second resync corr = %x, want 0 (consumed)", evs[1].Corr)
 	}
 }
+
+// TestDurableDoubleRestartKeepsLinkSeq: a durable route's link sequence
+// survives two restarts with no output in between. Incarnation 1 sends
+// ten tuples and is acked; incarnation 2 recovers them, resyncs, is acked
+// and sends nothing; incarnation 3 must stamp its fresh tuples after
+// sequence 10. Restarting the sequence at 1 would make the live receiver
+// suppress every one of them as a duplicate.
+func TestDurableDoubleRestartKeepsLinkSeq(t *testing.T) {
+	dir := t.TempDir()
+	var delivered []int64
+	r := NewLinkReceiver(func(tp stream.Tuple) {
+		delivered = append(delivered, tp.Field(0).AsInt())
+	}, nil, 0)
+	incarnation := func(payloads ...int64) {
+		l, err := storage.OpenLog(dir, storage.LogConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := storage.NewOutputSink(l)
+		origins, tuples, err := sink.RecoveredEntries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := make([]LogEntry, len(tuples))
+		for i := range tuples {
+			entries[i] = LogEntry{Origin: origins[i], Tuple: tuples[i]}
+		}
+		s := RecoverLinkSender(entries, func(ts []stream.Tuple) error {
+			r.OnBatch(append([]stream.Tuple(nil), ts...))
+			return nil
+		})
+		s.AttachDurable(sink)
+		s.Resync()
+		for _, p := range payloads {
+			s.Send(stream.NewTuple(stream.Int(p)))
+		}
+		s.Ack(r.ContiguousRecv())
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	incarnation(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+	incarnation()
+	incarnation(11, 12, 13, 14, 15)
+	if len(delivered) != 15 {
+		t.Fatalf("delivered %d of 15 payloads (%v); %d suppressed as duplicates",
+			len(delivered), delivered, r.Suppressed())
+	}
+	for i, p := range delivered {
+		if p != int64(i+1) {
+			t.Fatalf("delivered %v, want 1..15 in order", delivered)
+		}
+	}
+}

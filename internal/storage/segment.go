@@ -274,13 +274,23 @@ func (l *Log) ReplayTuples(fn func(t stream.Tuple, baseSeq uint64) bool) error {
 // TruncateBefore unlinks every sealed segment whose highest tuple Seq is
 // strictly below seq, returning how many tuples were freed. The active
 // segment and any sealed segment straddling the boundary are retained —
-// disk truncation is conservative, a superset of the in-memory log.
+// disk truncation is conservative, a superset of the in-memory log. So is
+// the newest segment holding frames: its highest Seq is where a recovered
+// log resumes stamping, so a fully acknowledged log still remembers it.
 func (l *Log) TruncateBefore(seq uint64) (tuples int, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	newest := -1
+	if l.act.frames == 0 {
+		for i, seg := range l.segs {
+			if seg.frames > 0 {
+				newest = i
+			}
+		}
+	}
 	kept := l.segs[:0]
-	for _, seg := range l.segs {
-		if seg.maxSeq < seq && seg.frames > 0 {
+	for i, seg := range l.segs {
+		if seg.maxSeq < seq && seg.frames > 0 && i != newest {
 			if rmErr := os.Remove(seg.path); rmErr != nil && err == nil {
 				err = fmt.Errorf("storage: truncate: %w", rmErr)
 			}

@@ -120,12 +120,6 @@ type Config struct {
 	Health func() (ok bool, reason string)
 }
 
-// Handler builds the introspection mux with positional arguments — the
-// pre-observability-plane signature, kept for existing callers.
-func Handler(id string, eng *engine.Engine, plane *stats.Plane, links LinkSource) http.Handler {
-	return NewHandler(Config{Node: id, Engine: eng, Plane: plane, Links: links})
-}
-
 // NewHandler builds the introspection mux (stdlib only):
 //
 //	GET /healthz          liveness probe: "ok", or 503 + reason when the

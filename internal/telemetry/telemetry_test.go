@@ -52,7 +52,7 @@ func statsFixture(t *testing.T) (*engine.Engine, *stats.Plane) {
 
 func TestStatsAndLoadMapEndpoints(t *testing.T) {
 	eng, plane := statsFixture(t)
-	srv := httptest.NewServer(Handler("x", eng, plane, nil))
+	srv := httptest.NewServer(NewHandler(Config{Node: "x", Engine: eng, Plane: plane}))
 	defer srv.Close()
 
 	get := func(path string) (int, []byte) {
@@ -135,7 +135,7 @@ func TestStatsAndLoadMapEndpoints(t *testing.T) {
 
 func TestStatsEndpointsDisabled(t *testing.T) {
 	eng, _ := statsFixture(t)
-	srv := httptest.NewServer(Handler("x", eng, nil, nil))
+	srv := httptest.NewServer(NewHandler(Config{Node: "x", Engine: eng}))
 	defer srv.Close()
 	for _, path := range []string{"/stats", "/loadmap", "/links"} {
 		resp, err := srv.Client().Get(srv.URL + path)
@@ -187,7 +187,7 @@ func init() {
 
 func TestHealthzReflectsRunState(t *testing.T) {
 	eng, _ := statsFixture(t)
-	srv := httptest.NewServer(Handler("x", eng, nil, nil))
+	srv := httptest.NewServer(NewHandler(Config{Node: "x", Engine: eng}))
 	defer srv.Close()
 	code, body := httpGet(t, srv, "/healthz")
 	if code != 200 || string(body) != "ok\n" {
@@ -235,7 +235,7 @@ func TestHealthzDuringDrain(t *testing.T) {
 	}
 	eng.Ingest("in", stream.NewTuple(stream.Int(1)))
 
-	srv := httptest.NewServer(Handler("x", eng, nil, nil))
+	srv := httptest.NewServer(NewHandler(Config{Node: "x", Engine: eng}))
 	defer srv.Close()
 	if code, _ := httpGet(t, srv, "/healthz"); code != 200 {
 		t.Fatalf("pre-drain /healthz = %d", code)
@@ -385,7 +385,7 @@ func TestEventsEngineJournalFallback(t *testing.T) {
 	if err := eng.SplitBox("f1", 2); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(Handler("x", eng, nil, nil))
+	srv := httptest.NewServer(NewHandler(Config{Node: "x", Engine: eng}))
 	defer srv.Close()
 	_, body := httpGet(t, srv, "/events")
 	var er EventsResponse
@@ -509,7 +509,7 @@ func TestLinksEndpoint(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	srv := httptest.NewServer(Handler("x", eng, nil, a))
+	srv := httptest.NewServer(NewHandler(Config{Node: "x", Engine: eng, Links: a}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/links")
 	if err != nil {
