@@ -51,8 +51,6 @@ func BenchmarkExp12_DHTCatalog(b *testing.B)       { runExp(b, "E12") }
 func BenchmarkExp13_SplitPredicates(b *testing.B)  { runExp(b, "E13") }
 func BenchmarkExp14_Economy(b *testing.B)          { runExp(b, "E14") }
 func BenchmarkExp15_RemoteDefinition(b *testing.B) { runExp(b, "E15") }
-func BenchmarkExp18_ParallelScaling(b *testing.B)  { runExp(b, "E18") }
-func BenchmarkExp18b_AutoSplit(b *testing.B)       { runExp(b, "E18B") }
 func BenchmarkExp19_Observability(b *testing.B)    { runExp(b, "E19") }
 func BenchmarkExp20_LatencySLO(b *testing.B)       { runExp(b, "E20") }
 func BenchmarkExp21_HotPath(b *testing.B)          { runExp(b, "E21") }
@@ -153,43 +151,6 @@ func BenchmarkEngineSteadyState(b *testing.B) {
 			eng.RunUntilIdle(0)
 		}
 	}
-	eng.Drain()
-}
-
-func BenchmarkEngineParallelDrain(b *testing.B) {
-	// The worker-pool counterpart of EngineSteadyState: four independent
-	// chains, four workers, bursts drained through RunParallel via Run().
-	readings := dsps.MustSchema("r",
-		dsps.Field{Name: "sensor", Kind: dsps.KindInt},
-		dsps.Field{Name: "v", Kind: dsps.KindFloat})
-	qb := dsps.NewQuery("benchpar")
-	inputs := make([]string, 4)
-	for c := 0; c < 4; c++ {
-		f, t := fmt.Sprintf("f%d", c), fmt.Sprintf("t%d", c)
-		inputs[c] = fmt.Sprintf("in%d", c)
-		qb.AddBox(f, dsps.FilterSpec("v > 0.0", false)).
-			AddBox(t, dsps.TumbleSpec("cnt", "v", "sensor")).
-			Connect(f, t).
-			BindInput(inputs[c], readings, f, 0).
-			BindOutput(fmt.Sprintf("out%d", c), t, 0, nil)
-	}
-	q, err := qb.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := dsps.NewEngine(q, dsps.EngineConfig{Workers: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tp := dsps.NewTuple(dsps.Int(1), dsps.Float(2.5))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Ingest(inputs[i%4], tp)
-		if i%512 == 0 {
-			eng.Run()
-		}
-	}
-	eng.Run()
 	eng.Drain()
 }
 

@@ -25,33 +25,16 @@ echo "== stats overhead guard"
 # the engine hot path must not pay for the windowed sampling.
 CI_STATS_GUARD=1 go test ./internal/engine/ -run TestStatsOverheadGuard -count=1 -v
 
-echo "== parallel engine"
-# The worker-pool path under the race detector: config validation,
-# serial-vs-parallel output equivalence, concurrent ingest, and trace
-# worker attribution.
-go test -race ./internal/engine/ -run 'Parallel' -count=1 -timeout 120s
-
-echo "== parallel speedup guard"
-# Four workers must beat serial by >= 1.5x on conflict-free chains. The
-# test skips itself on hosts with fewer than four CPUs, where the
-# comparison would measure nothing but context switching.
-CI_PARALLEL_GUARD=1 go test ./internal/engine/ -run TestParallelSpeedupGuard -count=1 -v
-
 echo "== split equivalence battery"
 # The §5.1 split contract under the race detector: the op-level
 # quick-check property battery (merge(combine, split_k(input)) equals the
 # unsplit operator over seeded random trains), the engine-level serial vs
-# split-N equivalence tests, the replica scheduler/dispatcher pins, and
-# the randomized split/unsplit churn storm.
+# split-N equivalence tests, the replica scheduler pins, the randomized
+# split/unsplit churn storm with ingest racing the route flips, and the
+# engine's one concurrency contract: IngestTrain from another goroutine
+# while the run loop steps.
 go test -race ./internal/op/ -run 'TestQuickSplit|TestSplitProfile' -count=1 -timeout 120s
-go test -race ./internal/engine/ -run 'Split' -count=1 -timeout 180s
-
-echo "== autosplit speedup guard"
-# Four workers plus the autosplit controller must beat four workers alone
-# by >= 2x on the Zipf hot-aggregate chain — a worker pool cannot
-# parallelize a single hot box, only a key-sharded split can. The test
-# skips itself below 4 CPUs.
-CI_AUTOSPLIT_GUARD=1 go test ./internal/engine/ -run TestAutoSplitSpeedupGuard -count=1 -v
+go test -race ./internal/engine/ -run 'Split|TestConcurrentIngest' -count=1 -timeout 180s
 
 echo "== hot-path pins"
 # The train path's deterministic bargain, which runs everywhere: a warm

@@ -155,6 +155,19 @@ func parseNetwork(data []byte) (*query.Network, error) {
 	return b.Build()
 }
 
+// checkSerial rejects the retired in-process parallelism flags: a node
+// runs its boxes on one run loop, and -workers and -autosplit remain only
+// so that existing command lines with their serial values keep working.
+func checkSerial(workers, autosplit int) error {
+	if workers != 0 && workers != 1 {
+		return fmt.Errorf("-workers %d: a node runs its boxes on one run loop; scale out by running more nodes and spreading the network over them (§5), and leave -workers at 0", workers)
+	}
+	if autosplit != 0 {
+		return fmt.Errorf("-autosplit %d: runtime autosplit is gone; split a hot box across nodes instead (§5), and leave -autosplit at 0", autosplit)
+	}
+	return nil
+}
+
 // multiFlag collects repeated -flag key=value pairs.
 type multiFlag map[string]string
 
@@ -186,8 +199,8 @@ func main() {
 		linkPing = flag.Duration("link-ping", time.Second, "peer-link keepalive period (0 disables pings and read-idle detection)")
 		linkBuf  = flag.Int("link-buffer", 1024, "messages buffered per peer link across reconnects")
 		haRoutes = flag.Bool("ha-routes", true, "frame routed outputs with the HA link protocol (sequence, retain, replay on reconnect, dedup downstream)")
-		workers  = flag.Int("workers", 0, "engine worker pool size for wall-clock execution (0 or 1 = serial)")
-		autoN    = flag.Int("autosplit", 0, "key-shard a hot box into N replicas at runtime when the stats plane flags it (0 disables; needs a splittable operator)")
+		workers  = flag.Int("workers", 0, "retired: must be 0 or 1 (a node has one run loop; scale out with more nodes)")
+		autoN    = flag.Int("autosplit", 0, "retired: must be 0 (split a hot box across nodes instead)")
 		eventBuf = flag.Int("events-buf", 1024, "structured event journal ring capacity (0 disables the journal)")
 		dataDir  = flag.String("data-dir", "", "durable state directory: output logs and connection-point spill land in segment files there, dedup + stats-plane state is checkpointed, and a restart recovers all of it (empty disables durability)")
 		sloOn    = flag.Bool("slo", false, "enable the latency-SLO plane: per-output quantile sketches, tail attribution, and cliff forecasting (served at /latency and as Prometheus histograms)")
@@ -200,6 +213,9 @@ func main() {
 
 	if *netPath == "" {
 		log.Fatal("-network is required")
+	}
+	if err := checkSerial(*workers, *autoN); err != nil {
+		log.Fatal(err)
 	}
 	net, err := loadNetwork(*netPath)
 	if err != nil {
@@ -223,8 +239,8 @@ func main() {
 		},
 		Quiet: *quiet, Trace: *traceN, TraceBuf: *traceBuf,
 		Stats: *statsPer, StatsWindows: *statsWin,
-		Link:     transport.LinkConfig{PingPeriod: *linkPing, BufferLimit: *linkBuf},
-		HARoutes: *haRoutes, Workers: *workers, AutoSplit: *autoN,
+		Link:      transport.LinkConfig{PingPeriod: *linkPing, BufferLimit: *linkBuf},
+		HARoutes:  *haRoutes,
 		EventsBuf: *eventBuf, DataDir: *dataDir, SLO: *sloOn,
 	})
 	if err != nil {
@@ -280,15 +296,9 @@ func main() {
 	default:
 		log.Fatalf("unknown generator %q", kind)
 	}
-	// A worker pool costs goroutine startup per invocation, so with
-	// workers the generator ingests trains of 256 instead of single tuples.
-	trainLen := 1
-	if *workers > 1 {
-		trainLen = 256
-	}
 	start := time.Now()
 	count := 0
-	train := make([]stream.Tuple, 0, trainLen)
+	train := make([]stream.Tuple, 1)
 	for {
 		t, gap, ok := src.Next()
 		if !ok {
@@ -296,12 +306,9 @@ func main() {
 		}
 		time.Sleep(time.Duration(gap))
 		count++
-		if train = append(train, t); len(train) == trainLen {
-			n.Ingest(input, train)
-			train = train[:0]
-		}
+		train[0] = t
+		n.Ingest(input, train)
 	}
-	n.Ingest(input, train)
 	n.Drain()
 	stopped.Store(true)
 	if !*quiet {

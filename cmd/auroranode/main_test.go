@@ -169,3 +169,27 @@ func FuzzParseNetwork(f *testing.F) {
 		}
 	})
 }
+
+// TestCheckSerialRefusesParallelFlags: the retired in-process parallelism
+// flags accept only their serial values; anything else stops the node at
+// start-up with a message that points at scaling out across nodes.
+func TestCheckSerialRefusesParallelFlags(t *testing.T) {
+	for _, c := range []struct{ workers, autosplit int }{{0, 0}, {1, 0}} {
+		if err := checkSerial(c.workers, c.autosplit); err != nil {
+			t.Errorf("-workers %d -autosplit %d refused: %v", c.workers, c.autosplit, err)
+		}
+	}
+	for _, c := range []struct {
+		workers, autosplit int
+		flag               string
+	}{{2, 0, "-workers 2"}, {-1, 0, "-workers -1"}, {0, 3, "-autosplit 3"}, {1, 1, "-autosplit 1"}} {
+		err := checkSerial(c.workers, c.autosplit)
+		if err == nil {
+			t.Errorf("-workers %d -autosplit %d accepted", c.workers, c.autosplit)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, c.flag+":") || !strings.Contains(msg, "§5") {
+			t.Errorf("-workers %d -autosplit %d: error %q should name %s and point at §5 scale-out", c.workers, c.autosplit, msg, c.flag)
+		}
+	}
+}

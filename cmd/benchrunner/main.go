@@ -1,11 +1,9 @@
 // benchrunner regenerates the experiment tables of EXPERIMENTS.md from
-// the command line: every figure of the paper has an experiment (E01..E16,
-// plus E18's parallel worker-scaling sweep and the ablations) whose table
-// this tool prints. The checked-in bench/BENCH_E18.json is the
-// worker-scaling baseline (workers 1, 2, 4 over conflict-free chains)
-// and bench/BENCH_E18B.json the runtime-autosplit baseline (serial vs
-// 4 workers vs 4 workers + hot-box autosplit on Zipf keys); refresh them
-// with `benchrunner -exp E18 -json bench/` and `-exp E18B`.
+// the command line: every figure of the paper has an experiment (E01..E16
+// and the ablations) whose table this tool prints, next to the
+// engine-level measurements E19..E22 whose checked-in baselines live in
+// bench/BENCH_<id>.json; refresh one with `benchrunner -exp E21 -json
+// bench/`.
 //
 // Usage:
 //

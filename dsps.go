@@ -288,8 +288,6 @@ var (
 const (
 	EventSplit         = events.KindSplit
 	EventUnsplit       = events.KindUnsplit
-	EventHotBox        = events.KindHotBox
-	EventCoolBox       = events.KindCoolBox
 	EventOffload       = events.KindOffload
 	EventShedEngage    = events.KindShedEngage
 	EventShedDisengage = events.KindShedDisengage

@@ -13,5 +13,6 @@ done <<LIST
 ./internal/sketch/ FuzzDecodeSketch
 ./internal/storage/ FuzzDecodeSegment
 ./internal/op/ FuzzCompiledExpr
+./internal/cql/ FuzzCompile
 ./cmd/auroranode/ FuzzParseNetwork
 LIST

@@ -44,34 +44,19 @@ type Config struct {
 	Stats *stats.Store
 	// StatsEvery samples Stats every N scheduling steps (0 means 64).
 	StatsEvery int
-	// Workers enables the parallel wall-clock execution path: Run then
-	// drives a pool of this many workers instead of the serial loop
-	// (RunParallel). Workers > 0 with a VirtualClock is a configuration
-	// error — deterministic virtual time is serial by design, so netsim
-	// experiments stay byte-identical.
-	Workers int
 	// Journal receives structured control-plane events: split/unsplit
-	// transitions with the hot-box evidence that triggered them, shedder
-	// engage/disengage with drop counts. Nil disables journaling; the
-	// hot path then pays nothing (events are only emitted from control
-	// decisions, never per tuple).
+	// transitions, shedder engage/disengage with drop counts. Nil disables
+	// journaling; the hot path then pays nothing (events are only emitted
+	// from control decisions, never per tuple).
 	Journal *events.Journal
 	// SLO enables the latency-SLO plane: per-output delivered-latency
 	// sketches recorded per delivery and published to the stats plane,
 	// tail attribution over traced spans, and the QoS-headroom forecaster
 	// that journals an early warning before an output's p99 crosses its
 	// latency cliff. When SLO is set and Stats is nil, the engine creates
-	// a private store (as AutoSplit does). Nil disables the whole plane;
-	// delivery then pays only a nil check.
+	// a private store. Nil disables the whole plane; delivery then pays
+	// only a nil check.
 	SLO *SLOConfig
-	// AutoSplit enables the runtime hot-box controller: the engine
-	// watches the stats plane for a box burning a disproportionate share
-	// of a core behind a backlog, splits it into key-sharded replicas,
-	// and folds it back when load subsides. Nil disables the controller;
-	// explicit SplitBox/UnsplitBox calls work either way. When AutoSplit
-	// is set and Stats is nil, the engine creates a private store sized
-	// by AutoSplitConfig.WindowNs.
-	AutoSplit *AutoSplitConfig
 	// CPSpill supplies a disk spill for each connection-point history (the
 	// Storage Manager's paging of §2.3): called once per marked arc source
 	// port at construction, it may return nil to leave that point
@@ -90,16 +75,13 @@ type OutputFn func(name string, t stream.Tuple)
 // disowned and may be kept.
 type OutputTrainFn func(name string, ts []stream.Tuple)
 
-// Engine executes one node's piece of an Aurora query network. The serial
-// path (Step/RunUntilIdle) executes one scheduler decision at a time, per
-// the paper's run-time model; under a wall clock the engine can instead
-// run a worker pool (RunParallel) where the scheduler dispatches
-// conflict-free box trains to idle workers — a box instance is owned by
-// at most one worker at a time, so operators stay single-threaded
-// internally. Both drive the one train body, runTrain. Ingest is safe to
-// call concurrently with either; the serial control methods (Step,
-// RunUntilIdle, Drain) must not themselves be called from multiple
-// goroutines at once.
+// Engine executes one node's piece of an Aurora query network with one
+// run loop: Step executes one scheduler decision at a time through the
+// train body, runTrain, per the paper's run-time model, so operators are
+// single-threaded. A node scales by adding nodes (§5), not threads.
+// Ingest is safe to call concurrently with a running loop; the control
+// methods (Step, Run, Drain, SplitBox) must not themselves be called from
+// multiple goroutines at once.
 type Engine struct {
 	net    *query.Network
 	clock  Clock
@@ -162,21 +144,15 @@ type Engine struct {
 	resyncDepth atomic.Int32
 	resyncCorr  atomic.Uint64
 
-	// Parallel runtime state: the configured pool size, the active
-	// dispatcher (nil when no RunParallel is in flight; Ingest kicks it so
-	// idle workers notice externally arriving work), and the advance
-	// dedup timestamp. Time-driven operators live in the topo snapshot.
-	workers     int
-	disp        atomic.Pointer[dispatcher]
-	lastAdvance atomic.Int64
+	// lastAdvance is the clock reading of the last time-driven advance,
+	// so advanceTimeSensitive skips a sweep when time has not moved.
+	lastAdvance int64
 
 	// Runtime split/merge state: the pending transition request slot
-	// (consumed at step/train boundaries, where ownership is safe to
-	// take), the autosplit controller, transition counters, and the
-	// drain latch that parks transitions while Drain stabilizes the
-	// network.
+	// (set from any goroutine, consumed at a step boundary), transition
+	// counters, and the drain latch that parks transitions while Drain
+	// stabilizes the network.
 	pendTrans            atomic.Pointer[transRequest]
-	auto                 *autoSplit
 	splitCtr, unsplitCtr atomic.Uint64
 	draining             atomic.Bool
 
@@ -228,15 +204,13 @@ type boxState struct {
 	taps []atomic.Pointer[[]op.Emit]
 
 	virtCost int64
-	cost     *metrics.EWMA // ns per tuple, processing only
+	// cost is ns per tuple over the whole runTrain call: queue pop,
+	// operator, routing, downstream pushes and storage accounting.
+	cost     *metrics.EWMA
 	wait     *metrics.EWMA // ns queueing delay
 	inCount  atomic.Int64
 	outCount atomic.Int64
 	workNs   atomic.Int64 // cumulative processing time (ns)
-
-	// running marks the box as owned by a parallel worker; guarded by the
-	// dispatcher mutex and never set on the serial path.
-	running bool
 
 	// replica is the 1-based ordinal of a key-partition replica box
 	// (0 for ordinary boxes), parentID names the split box a replica or
@@ -252,9 +226,7 @@ type boxState struct {
 
 	// cur is the span of the tuple currently being processed: emitted
 	// tuples inherit it so the trace follows derivation through the box.
-	// Only the box's current owner (the serial loop, or the one worker
-	// that holds the box) touches it; ownership hand-off through the
-	// dispatcher lock orders those accesses.
+	// Only the run loop touches it.
 	cur *trace.Span
 
 	// eb and collect are the box's emission buffer: collect is the one
@@ -262,8 +234,8 @@ type boxState struct {
 	// (port, tuple) to eb, and eb points at a pooled emitBuf between
 	// openEmit and closeEmit. The buffered emissions are routed in
 	// same-port runs by flushEmits — one clock read, one downstream lock,
-	// one accounting update per run. Only the box's current owner touches
-	// either field.
+	// one accounting update per run. Only the run loop touches either
+	// field.
 	eb      *emitBuf
 	collect op.Emit
 }
@@ -321,10 +293,6 @@ func New(net *query.Network, cfg Config) (*Engine, error) {
 	if vc, ok := e.clock.(*VirtualClock); ok {
 		e.vclock = vc
 	}
-	if cfg.Workers > 0 && e.vclock != nil {
-		return nil, fmt.Errorf("engine: Workers=%d with a VirtualClock: the deterministic virtual-time path is serial by design", cfg.Workers)
-	}
-	e.workers = cfg.Workers
 	e.sched = cfg.Scheduler
 	if e.sched == nil {
 		e.sched = NewTrainScheduler(DefaultMaxTrain)
@@ -454,20 +422,6 @@ func New(net *query.Network, cfg Config) (*Engine, error) {
 			}
 		}
 	}
-	if cfg.AutoSplit != nil {
-		if e.stats == nil {
-			win := cfg.AutoSplit.WindowNs
-			if win <= 0 {
-				win = 25e6 // 25 ms: fine-grained enough for runtime control
-			}
-			e.stats = stats.NewStore(win, 16)
-			e.statsEvery = uint64(cfg.StatsEvery)
-			if e.statsEvery == 0 {
-				e.statsEvery = 64
-			}
-		}
-		e.auto = newAutoSplit(e, *cfg.AutoSplit)
-	}
 	if cfg.SLO != nil {
 		s := *cfg.SLO
 		s.applyDefaults()
@@ -543,11 +497,11 @@ func (e *Engine) CPEvicted() int64 { return e.cpEvictCtr.Value() }
 // routes whatever is still buffered and returns the buffer, which every
 // flush leaves empty. Every operator entry point that can emit —
 // Process/ProcessTrain, Advance, Flush — runs between the two, so there is
-// one emission path. Only the box's owner calls either.
+// one emission path.
 func (e *Engine) openEmit(b *boxState) { b.eb = emitBufPool.Get().(*emitBuf) }
 
-func (e *Engine) closeEmit(b *boxState, worker int) {
-	e.flushEmits(b, worker)
+func (e *Engine) closeEmit(b *boxState) {
+	e.flushEmits(b)
 	emitBufPool.Put(b.eb)
 	b.eb = nil
 }
@@ -557,10 +511,10 @@ func (e *Engine) closeEmit(b *boxState, worker int) {
 // one output port — travel as a single run through routeEmitTrain, so the
 // per-tuple costs of the emit path (output-count increment, clock read,
 // downstream queue lock, byte accounting, monitor lock) are paid once per
-// run. Ordering is preserved: runs flush in emission order, and only one
-// train executes per box at a time, so per-(box,port) FIFO holds exactly
-// as it would with immediate per-emission routing.
-func (e *Engine) flushEmits(b *boxState, worker int) {
+// run. Ordering is preserved: runs flush in emission order, so
+// per-(box,port) FIFO holds exactly as it would with immediate
+// per-emission routing.
+func (e *Engine) flushEmits(b *boxState) {
 	eb := b.eb
 	n := len(eb.ts)
 	if n == 0 {
@@ -574,20 +528,19 @@ func (e *Engine) flushEmits(b *boxState, worker int) {
 		for j < n && eb.ports[j] == port {
 			j++
 		}
-		e.routeEmitTrain(b, port, worker, eb.ts[i:j], now)
+		e.routeEmitTrain(b, port, eb.ts[i:j], now)
 		i = j
 	}
 	eb.reset()
 }
 
 // routeEmitTrain is the Router of Fig 3 over a same-port emission run:
-// connection-point history, ad hoc taps, the spans' processing mark
-// (attributed to worker when non-zero), then delivery to the downstream
-// routes. The span mark is unconditional per tuple — MarkReplica is
-// nil-receiver-safe, and untraced trains can still re-emit span-carrying
+// connection-point history, ad hoc taps, the spans' processing mark, then
+// delivery to the downstream routes. The span mark is unconditional per
+// tuple — MarkReplica is nil-receiver-safe, and untraced trains can still re-emit span-carrying
 // tuples (WSort flushes buffered tuples admitted in earlier, traced
 // trains).
-func (e *Engine) routeEmitTrain(b *boxState, port, worker int, ts []stream.Tuple, now int64) {
+func (e *Engine) routeEmitTrain(b *boxState, port int, ts []stream.Tuple, now int64) {
 	if port < len(b.cpH) {
 		if h := b.cpH[port]; h != nil {
 			e.cpMu.Lock()
@@ -615,7 +568,7 @@ func (e *Engine) routeEmitTrain(b *boxState, port, worker int, ts []stream.Tuple
 		}
 	}
 	for i := range ts {
-		ts[i].Span.MarkReplica(trace.KindProc, b.id, worker, b.replica, now)
+		ts[i].Span.MarkReplica(trace.KindProc, b.id, b.replica, now)
 	}
 	e.deliverTrain(b.downstream[port], ts, now)
 }
@@ -757,8 +710,7 @@ func (e *Engine) SetRelayInput(name string) {
 // tuples with zero Seq are assigned the node-local sequence (§6.2). The
 // engine consumes ts — it stamps the tuples and compacts the admitted ones
 // in place — and returns how many were accepted (the rest were shed).
-// IngestTrain is safe to call concurrently with a running Step loop or
-// RunParallel pool.
+// IngestTrain is safe to call concurrently with a running Step loop.
 func (e *Engine) IngestTrain(input string, ts []stream.Tuple) int {
 	routes, ok := e.inputs[input]
 	if !ok || len(ts) == 0 {
@@ -799,10 +751,6 @@ func (e *Engine) IngestTrain(input string, ts []stream.Tuple) int {
 		return 0
 	}
 	e.deliverTrain(routes, kept, now)
-	// A worker pool waiting out an idle stretch must notice new work.
-	if d := e.disp.Load(); d != nil {
-		d.kick()
-	}
 	return len(kept)
 }
 
@@ -828,21 +776,20 @@ func (e *Engine) noteDrop() {
 // train, and the engine pushes that many waiting tuples through it
 // (train scheduling, §2.3). It reports whether any work was done.
 func (e *Engine) Step() bool {
-	b, port, n := e.sched.Next(e, nil)
-	if b == nil || e.runTrain(b, port, n, 0) == 0 {
+	b, port, n := e.sched.Next(e)
+	if b == nil || e.runTrain(b, port, n) == 0 {
 		return false
 	}
 	e.advanceTimeSensitive(e.clock.Now())
 	e.noteStep()
-	// Step is the serial path, so the step boundary owns every box:
-	// apply any requested split/unsplit transition directly.
-	e.applyPendingSerial()
+	// No box is mid-train at a step boundary: apply any requested
+	// split/unsplit transition here.
+	e.applyPending()
 	return true
 }
 
-// runTrain is the one train body, shared by Step (worker 0) and the pool:
-// pop up to n tuples from the box's port under one queue lock and push
-// them through the operator on a box the caller owns. It returns the
+// runTrain is the one train body: pop up to n tuples from the box's port
+// under one queue lock and push them through the operator. It returns the
 // number of tuples processed.
 //
 // The train executes in chunks. On a wall clock with no traced tuple
@@ -856,7 +803,7 @@ func (e *Engine) Step() bool {
 // closed at the chunk's service start, clock advanced, emissions routed at
 // the chunk's completion — so chunk-of-one reproduces a per-tuple engine
 // exactly, and chunk-of-train pays every one of those costs once.
-func (e *Engine) runTrain(b *boxState, port, n, worker int) int {
+func (e *Engine) runTrain(b *boxState, port, n int) int {
 	start := e.clock.Now()
 	tb := getTrainBuf()
 	b.inQ[port].PopTrain(tb, n)
@@ -894,7 +841,7 @@ func (e *Engine) runTrain(b *boxState, port, n, worker int) int {
 			// Queue ends at this tuple's own service start, not the train
 			// start, so a long train does not smear earlier tuples'
 			// service time into later tuples' queue component.
-			sp.MarkReplica(trace.KindQueue, b.id, worker, b.replica, e.clock.Now())
+			sp.MarkReplica(trace.KindQueue, b.id, b.replica, e.clock.Now())
 			b.cur = sp
 		}
 		if e.vclock != nil {
@@ -915,9 +862,9 @@ func (e *Engine) runTrain(b *boxState, port, n, worker int) int {
 			}
 		}
 		b.cur = nil
-		e.flushEmits(b, worker)
+		e.flushEmits(b)
 	}
-	e.closeEmit(b, worker)
+	e.closeEmit(b)
 	if b.consumes {
 		// The operator neither retained nor re-emitted its inputs: any
 		// pool-owned Vals among them died in this train.
@@ -936,15 +883,13 @@ func (e *Engine) runTrain(b *boxState, port, n, worker int) int {
 }
 
 // noteStep closes one scheduling decision: the shedder's control loop,
-// and every statsEvery'th step a stats sample and an autosplit check.
+// and every statsEvery'th step a stats sample.
 func (e *Engine) noteStep() {
 	if e.shedder != nil {
 		e.shedder.Control(e)
 	}
 	if steps := e.steps.Add(1); e.stats != nil && steps%e.statsEvery == 0 {
-		now := e.clock.Now()
-		e.SampleStats(now)
-		e.autosplitCheck(now)
+		e.SampleStats(e.clock.Now())
 	}
 }
 
@@ -953,22 +898,17 @@ func (e *Engine) noteStep() {
 // advances only those operators, and only when the clock actually moved
 // since the last advance — the serial engine used to sweep Advance over
 // every box after every train, O(boxes) of no-op virtual calls per step.
-// The caller owns every box (the serial loop, or a quiescent pool).
 func (e *Engine) advanceTimeSensitive(now int64) {
 	timed := e.snap().timed
-	if len(timed) == 0 || e.lastAdvance.Swap(now) == now {
+	if len(timed) == 0 || e.lastAdvance == now {
 		return
 	}
+	e.lastAdvance = now
 	for _, b := range timed {
-		e.advanceBox(b, 0, now)
+		e.openEmit(b)
+		b.inst.Advance(now, b.collect)
+		e.closeEmit(b)
 	}
-}
-
-// advanceBox gives one owned time-driven box its Advance.
-func (e *Engine) advanceBox(b *boxState, worker int, now int64) {
-	e.openEmit(b)
-	b.inst.Advance(now, b.collect)
-	e.closeEmit(b, worker)
 }
 
 // SampleStats folds the current monitored statistics of every box into
@@ -1044,6 +984,10 @@ func (e *Engine) StatsStore() *stats.Store { return e.stats }
 // box executions — the raw counter utilization is differenced from.
 func (e *Engine) BusyNs() int64 { return e.busyCtr.Value() }
 
+// Run steps until no box has queued work and returns the number of steps
+// executed: RunUntilIdle(0).
+func (e *Engine) Run() int { return e.RunUntilIdle(0) }
+
 // RunUntilIdle steps until no box has queued work, or until maxSteps (<= 0
 // means unbounded). It returns the number of steps executed.
 func (e *Engine) RunUntilIdle(maxSteps int) int {
@@ -1087,7 +1031,7 @@ func (e *Engine) Drain() {
 		for _, b := range e.snap().boxes {
 			e.openEmit(b)
 			b.inst.Flush(b.collect)
-			e.closeEmit(b, 0)
+			e.closeEmit(b)
 			e.RunUntilIdle(0)
 		}
 		if e.emittedTotal() == before && e.QueuedTuples() == 0 {
@@ -1130,7 +1074,7 @@ func (e *Engine) QueuedBytes() int { return int(e.qBytes.Load()) }
 // current queue length.
 type BoxStats struct {
 	ID          string
-	Cost        float64 // ns per tuple
+	Cost        float64 // ns per tuple over the whole train (see boxState.cost)
 	Wait        float64 // ns queueing delay
 	Selectivity float64 // out tuples per in tuple
 	Queued      int
@@ -1304,8 +1248,7 @@ func (e *Engine) Clock() Clock { return e.clock }
 // Ingested returns the number of tuples offered to the engine.
 func (e *Engine) Ingested() uint64 { return e.ingested.Load() }
 
-// Steps returns the number of scheduling decisions executed (serial steps
-// plus parallel trains).
+// Steps returns the number of scheduling decisions executed.
 func (e *Engine) Steps() uint64 { return e.steps.Load() }
 
 // Metrics returns the engine's metric registry (counters, trace component

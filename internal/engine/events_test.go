@@ -3,7 +3,6 @@ package engine
 import (
 	"os"
 	"testing"
-	"time"
 
 	"repro/internal/events"
 	"repro/internal/qos"
@@ -58,63 +57,6 @@ func TestSplitUnsplitJournalEvents(t *testing.T) {
 	}
 	if j.Total() != before {
 		t.Error("failed transition must not journal")
-	}
-}
-
-// TestAutoSplitCorrChain pins the cause→effect contract: the hot-box
-// verdict (cause) and the split the controller installs (effect) share
-// one correlation id, so a post-mortem can walk from predicate firing to
-// topology change.
-func TestAutoSplitCorrChain(t *testing.T) {
-	j := events.NewJournal("n1", 256)
-	e := newWallEngine(t, passFilterNet(t), Config{
-		StatsEvery: 1,
-		Journal:    j,
-		AutoSplit: &AutoSplitConfig{
-			Replicas: 2,
-			WindowNs: int64(200 * time.Microsecond),
-			HoldHot:  1,
-			HoldCool: 1,
-			Hot: stats.HotSpec{
-				WorkFrac: 0.001,
-				CoolFrac: 0.9,
-				MinQueue: 1,
-				Windows:  1,
-			},
-		},
-	})
-	collectOutputs(e)
-	sent := 0
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s, _ := e.SplitCounts(); s >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("controller never split the hot box")
-		}
-		ingestAll(e, recurringTuples(int64(sent), 2000))
-		sent += 2000
-		e.RunUntilIdle(0)
-	}
-	e.Drain()
-	hots := eventsOfKind(j, events.KindHotBox)
-	splits := eventsOfKind(j, events.KindSplit)
-	if len(hots) == 0 || len(splits) == 0 {
-		t.Fatalf("journal = %s; want hotbox and split events", events.Format(j.Tail(20)))
-	}
-	hot, sp := hots[0], splits[0]
-	if hot.Corr == 0 || hot.Corr != sp.Corr {
-		t.Errorf("corr chain broken: hotbox=%x split=%x", hot.Corr, sp.Corr)
-	}
-	if hot.Subject != "f" || sp.Subject != "f" {
-		t.Errorf("subjects: hotbox=%q split=%q; want f", hot.Subject, sp.Subject)
-	}
-	if hot.V1 <= 0 {
-		t.Errorf("hotbox workFrac = %v; want > 0 (the measured predicate value)", hot.V1)
-	}
-	if hot.Seq >= sp.Seq {
-		t.Errorf("cause must precede effect: hot seq %d, split seq %d", hot.Seq, sp.Seq)
 	}
 }
 

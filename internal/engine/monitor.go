@@ -23,9 +23,9 @@ type Monitor struct {
 func NewMonitor(c Clock) *Monitor { return &Monitor{clock: c} }
 
 // outputState tracks one application output's deliveries against its QoS
-// specification. mu guards the observation state: in parallel mode every
-// worker whose train reaches an output observes concurrently, and the
-// shedder's noteDrop runs on ingest goroutines.
+// specification. mu guards the observation state: the run loop observes
+// deliveries while the shedder's noteDrop runs on ingest goroutines and
+// telemetry reads reports.
 type outputState struct {
 	name     string
 	spec     *qos.Spec

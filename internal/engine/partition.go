@@ -14,23 +14,19 @@ import (
 	"repro/internal/trace"
 )
 
-// This file promotes the box split of §5.1 from a network-rewrite
-// load-shedding tool (internal/loadmgr) into a runtime execution
-// strategy: a hot box is split in place into N key-sharded replica
-// instances that the scheduler dispatches like any other boxes — so N
-// workers can burn N cores on what used to be a single-owner bottleneck
-// — and folded back when load subsides, with in-flight work drained
-// across both transitions so no tuple is lost or duplicated.
+// This file is the runtime half of the box split of §5.1 (the
+// network-rewrite half is internal/loadmgr): a box is split in place into
+// N key-sharded replica instances that the scheduler runs like any other
+// boxes, and folded back later, with in-flight work drained across both
+// transitions so no tuple is lost or duplicated. Chaos Split events and
+// core.Cluster.ForceSplit drive it.
 //
-// Ownership protocol. A transition may only run while its boxes are
-// unowned: the serial path applies transitions at step boundaries (where
-// the loop owns everything), and the parallel path claims the parent
-// (and, for an un-split, every replica and merge box) through the
-// dispatcher exactly like a train would, so operator instances stay
-// single-threaded. Deliveries need no ownership — they are queue pushes
-// — so the route flip is guarded separately: partition.mu makes the
-// check-active-and-push step atomic against the flip, which means that
-// after a flip no tuple can land on the losing side.
+// A transition runs on the run loop, at a step boundary, so no operator
+// instance is mid-train. Deliveries from a concurrent IngestTrain are
+// queue pushes that may race it, so the route flip is guarded
+// separately: partition.mu makes the check-active-and-push step atomic
+// against the flip, which means that after a flip no tuple can land on
+// the losing side.
 
 // partition is the runtime split state attached to a parent box: the
 // key-sharded replicas, the merge chain folding their output back
@@ -205,18 +201,10 @@ func (e *Engine) refreshPartition(b *boxState, p *partition, prof op.SplitProfil
 // duplicated, or reordered within its key class across the transition.
 // The parent stays in the topology as the un-split fold-back point.
 //
-// SplitBox follows the serial-control contract: call it from the
-// scheduling thread's quiescent points or let RequestSplit route it
-// through a step/train boundary; it must not race Step or an owned
-// train on the same box.
+// SplitBox follows the control contract: call it from the run loop's
+// goroutine between steps, or let RequestSplit route it through a step
+// boundary; it must not race Step.
 func (e *Engine) SplitBox(id string, n int) error {
-	return e.splitBoxCorr(id, n, 0)
-}
-
-// splitBoxCorr is SplitBox carrying the correlation id of the decision
-// that caused it (0 = direct call, a fresh id is minted), so the journal
-// chains cause (hot-box verdict) to effect (split installed).
-func (e *Engine) splitBoxCorr(id string, n int, corr uint64) error {
 	e.topoMu.Lock()
 	defer e.topoMu.Unlock()
 	if n < 2 {
@@ -271,18 +259,24 @@ func (e *Engine) splitBoxCorr(id string, n int, corr uint64) error {
 	}
 	p.mu.Unlock()
 	e.splitCtr.Add(1)
+	e.journalTransition(events.KindSplit, id, n)
+	return nil
+}
+
+// journalTransition records an installed split or unsplit in the journal
+// and the flight recorder under one fresh correlation id, so the trace
+// mark and the event join.
+func (e *Engine) journalTransition(kind events.Kind, id string, replicas int) {
 	now := e.clock.Now()
+	var corr uint64
 	if e.journal != nil {
-		if corr == 0 {
-			corr = e.journal.NewCorr()
-		}
+		corr = e.journal.NewCorr()
 		e.journal.Append(events.Event{
-			Time: now, Kind: events.KindSplit, Subject: id, Corr: corr,
-			V1: float64(n),
+			Time: now, Kind: kind, Subject: id, Corr: corr,
+			V1: float64(replicas),
 		})
 	}
-	e.tracer.AnnotateID(corr, "split:"+id, now)
-	return nil
+	e.tracer.AnnotateID(corr, kind.String()+":"+id, now)
 }
 
 // UnsplitBox folds a split box back to its single instance: the route is
@@ -291,12 +285,6 @@ func (e *Engine) splitBoxCorr(id string, n int, corr uint64) error {
 // partials buffered in the merge network reach the downstream consumers
 // before the replicas retire. Same calling contract as SplitBox.
 func (e *Engine) UnsplitBox(id string) error {
-	return e.unsplitBoxCorr(id, 0)
-}
-
-// unsplitBoxCorr is UnsplitBox with the causing decision's correlation
-// id (0 = direct call; a fresh id is minted for the journal event).
-func (e *Engine) unsplitBoxCorr(id string, corr uint64) error {
 	e.topoMu.Lock()
 	defer e.topoMu.Unlock()
 	b, ok := e.snap().byID[id]
@@ -322,21 +310,11 @@ func (e *Engine) unsplitBoxCorr(id string, corr uint64) error {
 	}
 	e.removePartition(b, p)
 	e.unsplitCtr.Add(1)
-	now := e.clock.Now()
-	if e.journal != nil {
-		if corr == 0 {
-			corr = e.journal.NewCorr()
-		}
-		e.journal.Append(events.Event{
-			Time: now, Kind: events.KindUnsplit, Subject: id, Corr: corr,
-			V1: float64(len(p.reps)),
-		})
-	}
-	e.tracer.AnnotateID(corr, "unsplit:"+id, now)
+	e.journalTransition(events.KindUnsplit, id, len(p.reps))
 	return nil
 }
 
-// drainAndFlush pops every queued tuple of an owned single-input box
+// drainAndFlush pops every queued tuple of a single-input box
 // through its instance and then forces its windowed state out — the
 // per-box half of §5.1's "drain the network" protocol, used by both
 // transitions. Unlike a train it models no processing time: the
@@ -351,15 +329,15 @@ func (e *Engine) drainAndFlush(b *boxState) {
 		e.qBytes.Add(int64(-en.size))
 		b.inCount.Add(1)
 		if sp := en.t.Span; sp != nil {
-			sp.MarkReplica(trace.KindQueue, b.id, 0, b.replica, e.clock.Now())
+			sp.MarkReplica(trace.KindQueue, b.id, b.replica, e.clock.Now())
 			b.cur = sp
 		}
 		b.inst.Process(0, en.t, b.collect)
 		b.cur = nil
-		e.flushEmits(b, 0)
+		e.flushEmits(b)
 	}
 	b.inst.Flush(b.collect)
-	e.closeEmit(b, 0)
+	e.closeEmit(b)
 }
 
 // installPartition swaps in a topology snapshot with the replicas and
@@ -425,119 +403,47 @@ func (e *Engine) removePartition(b *boxState, p *partition) {
 	e.snapPtr.Store(&topoSnap{boxes: boxes, timed: timed, byID: byID})
 }
 
-// transRequest is one pending split or un-split, applied at the next
-// step/train boundary where box ownership is safe to take.
+// transRequest is one pending split or un-split, applied at the next step
+// boundary.
 type transRequest struct {
 	box   string
 	n     int
 	split bool
-	corr  uint64 // correlation id of the decision that raised the request
 }
 
 // RequestSplit asks the engine to split the named box into n replicas at
-// the next safe boundary. It is safe from any goroutine, including
-// concurrently with Step or RunParallel; the latest request wins the
-// single pending slot. Errors in the eventual transition (unknown box,
-// not splittable, already split) are dropped — requests are advisory.
+// the next step boundary. It is safe from any goroutine, including
+// concurrently with Step; the latest request wins the single pending
+// slot. Errors in the eventual transition (unknown box, not splittable,
+// already split) are dropped — requests are advisory.
 func (e *Engine) RequestSplit(box string, n int) {
-	e.requestSplitCorr(box, n, 0)
-}
-
-func (e *Engine) requestSplitCorr(box string, n int, corr uint64) {
-	e.pendTrans.Store(&transRequest{box: box, n: n, split: true, corr: corr})
-	if d := e.disp.Load(); d != nil {
-		d.kick()
-	}
+	e.pendTrans.Store(&transRequest{box: box, n: n, split: true})
 }
 
 // RequestUnsplit asks the engine to fold the named box back at the next
-// safe boundary. Same contract as RequestSplit.
+// step boundary. Same contract as RequestSplit.
 func (e *Engine) RequestUnsplit(box string) {
-	e.requestUnsplitCorr(box, 0)
+	e.pendTrans.Store(&transRequest{box: box})
 }
 
-func (e *Engine) requestUnsplitCorr(box string, corr uint64) {
-	e.pendTrans.Store(&transRequest{box: box, corr: corr})
-	if d := e.disp.Load(); d != nil {
-		d.kick()
-	}
-}
-
-// applyPendingSerial consumes the pending transition on the serial path,
-// where the step boundary owns every box.
-func (e *Engine) applyPendingSerial() {
+// applyPending consumes the pending transition at a step boundary. Drain
+// drops the request pending when it starts, and one made while it runs
+// waits for the first step after it.
+func (e *Engine) applyPending() {
 	if e.draining.Load() {
 		return
 	}
 	req := e.pendTrans.Swap(nil)
-	if req == nil {
-		return
-	}
-	e.applyRequest(req)
-}
-
-func (e *Engine) applyRequest(req *transRequest) {
-	if req.split {
-		_ = e.splitBoxCorr(req.box, req.n, req.corr)
-	} else {
-		_ = e.unsplitBoxCorr(req.box, req.corr)
+	switch {
+	case req == nil:
+	case req.split:
+		_ = e.SplitBox(req.box, req.n)
+	default:
+		_ = e.UnsplitBox(req.box)
 	}
 }
 
-// tryApplyPendingParallel attempts the pending transition from a worker
-// at a train boundary: it claims the involved boxes through the
-// dispatcher exactly like trains do (parent for a split; parent,
-// replicas, and merge boxes for an un-split), runs the transition with
-// the dispatcher lock released, and reports whether the request was
-// consumed. When a needed box is still owned it leaves the request
-// pending and returns false — the owner's completion broadcast retries.
-// Callers hold d.mu.
-func (e *Engine) tryApplyPendingParallel(d *dispatcher) bool {
-	if e.draining.Load() {
-		e.pendTrans.Store(nil)
-		return false
-	}
-	req := e.pendTrans.Load()
-	if req == nil {
-		return false
-	}
-	var claim []*boxState
-	if b, ok := e.snap().byID[req.box]; ok {
-		claim = append(claim, b)
-		if !req.split {
-			if p := b.part.Load(); p != nil {
-				claim = append(claim, p.reps...)
-				claim = append(claim, p.merge...)
-			}
-		}
-	}
-	for _, cb := range claim {
-		if cb.running {
-			return false
-		}
-	}
-	if !e.pendTrans.CompareAndSwap(req, nil) {
-		// A newer request replaced this one mid-claim; let it be
-		// evaluated fresh on the next boundary.
-		return false
-	}
-	for _, cb := range claim {
-		cb.running = true
-	}
-	d.busy++
-	d.mu.Unlock()
-	e.applyRequest(req)
-	d.mu.Lock()
-	for _, cb := range claim {
-		cb.running = false
-	}
-	d.busy--
-	d.cond.Broadcast()
-	return true
-}
-
-// SplitState describes a box's runtime split, for introspection and the
-// autosplit controller.
+// SplitState describes a box's runtime split, for introspection.
 type SplitState struct {
 	Box      string
 	Replicas []string // replica box ids, in shard order

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/op"
 	"repro/internal/query"
-	"repro/internal/stats"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -406,44 +405,46 @@ func TestSplitCachedPartitionReuse(t *testing.T) {
 }
 
 // TestSchedulersDispatchReplicasIndependently is the regression for the
-// scheduler audit: two replicas of one split box must be dispatchable to
-// two workers simultaneously — when one replica is owned, Next must
-// offer the other, not stall on the shared parent. Before the topology
+// scheduler audit: every scheduler must see the replicas of a split box
+// as boxes of their own — a step runs one replica's train, and the next
+// pick is the sibling replica, not the shared parent. Before the topology
 // snapshot conversion, runtime-attached replicas were invisible to every
 // scheduler.
 func TestSchedulersDispatchReplicasIndependently(t *testing.T) {
-	build := func() *Engine {
-		e, _ := newVirtualEngine(t, tumbleNet(t), Config{})
-		if err := e.SplitBox("tb", 2); err != nil {
-			t.Fatal(err)
-		}
-		r1 := e.snap().byID["tb#1"]
-		r2 := e.snap().byID["tb#2"]
-		for i := 0; i < 4; i++ {
-			r1.inQ[0].PushTrain([]stream.Tuple{tuple(1, 1)}, 0)
-			r2.inQ[0].PushTrain([]stream.Tuple{tuple(2, 1)}, 0)
-		}
-		return e
-	}
 	scheds := map[string]func() Scheduler{
 		"roundrobin": func() Scheduler { return NewRoundRobinScheduler(8) },
 		"train":      func() Scheduler { return NewTrainScheduler(8) },
 		"qos":        func() Scheduler { return NewQoSScheduler(8, 1e6) },
 	}
 	for name, mk := range scheds {
-		e := build()
 		s := mk()
-		b1, _, _ := s.Next(e, unowned)
-		if b1 == nil || (b1.id != "tb#1" && b1.id != "tb#2") {
-			t.Fatalf("%s: first pick = %v, want a replica of tb", name, b1)
+		e, _ := newVirtualEngine(t, tumbleNet(t), Config{Scheduler: s})
+		if err := e.SplitBox("tb", 2); err != nil {
+			t.Fatal(err)
 		}
-		b1.running = true // worker 1 holds the first replica
-		b2, _, n := s.Next(e, unowned)
-		if b2 == nil || b2 == b1 {
-			t.Fatalf("%s: second pick = %v with %q owned; want the sibling replica", name, b2, b1.id)
+		reps := []*boxState{e.snap().byID["tb#1"], e.snap().byID["tb#2"]}
+		for i := 0; i < 4; i++ {
+			// One group per replica: a tumble emits nothing until its
+			// group changes, so the merge boxes stay empty.
+			reps[0].inQ[0].PushTrain([]stream.Tuple{tuple(1, 1)}, 0)
+			reps[1].inQ[0].PushTrain([]stream.Tuple{tuple(2, 1)}, 0)
 		}
-		if b2.parentID != "tb" || b2.replica == 0 {
-			t.Fatalf("%s: second pick %q is not a replica of tb", name, b2.id)
+		if !e.Step() {
+			t.Fatalf("%s: no step with two replica queues full", name)
+		}
+		var ran, sibling *boxState
+		for k, rb := range reps {
+			if rb.inQ[0].Len() == 0 {
+				ran, sibling = rb, reps[1-k]
+			}
+		}
+		if ran == nil || sibling.inQ[0].Len() != 4 {
+			t.Fatalf("%s: first step did not run exactly one replica's train (queues %d, %d)",
+				name, reps[0].inQ[0].Len(), reps[1].inQ[0].Len())
+		}
+		b, _, n := s.Next(e)
+		if b != sibling {
+			t.Fatalf("%s: second pick = %v after %q ran; want the sibling replica %q", name, b, ran.id, sibling.id)
 		}
 		if n < 1 {
 			t.Fatalf("%s: zero train for a non-empty replica queue", name)
@@ -506,14 +507,11 @@ func TestSplitTraceReplicaAttribution(t *testing.T) {
 	}
 }
 
-// TestParallelSplitPhases alternates split and unsplit across parallel
-// pool rounds: each pending request is applied at a train boundary by the
-// pool itself, and the output stays count- and multiset-exact. Run under
-// -race: this exercises the claim protocol and the route flip against
-// worker dispatch.
-func TestParallelSplitPhases(t *testing.T) {
-	engineLeakGuard(t)
-	e := newWallEngine(t, passFilterNet(t), Config{Workers: 4})
+// TestSplitRequestPhases alternates split and unsplit requests across
+// run rounds: each pending request is applied at a step boundary, and the
+// output stays count- and multiset-exact.
+func TestSplitRequestPhases(t *testing.T) {
+	e := newWallEngine(t, passFilterNet(t), Config{})
 	out := collectOutputs(e)
 	in := recurringTuples(43, 1200)
 	phase := len(in) / 6
@@ -524,7 +522,7 @@ func TestParallelSplitPhases(t *testing.T) {
 			e.RequestUnsplit("f")
 		}
 		ingestAll(e, in[i*phase:(i+1)*phase])
-		e.RunParallel(4)
+		e.Run()
 	}
 	e.Drain()
 	if len(*out) != len(in) {
@@ -541,12 +539,12 @@ func TestParallelSplitPhases(t *testing.T) {
 
 // TestSplitUnsplitChurn is the randomized churn test: seeded load
 // oscillation with concurrent ingest, a controller goroutine firing
-// split/unsplit requests at random, and the worker pool applying them at
-// train boundaries. The invariant is total conservation: every ingested
-// tuple surfaces exactly once. Run under -race.
+// split/unsplit requests at random, and the run loop applying them at
+// step boundaries while ingest races the route flips. The invariant is
+// total conservation: every ingested tuple surfaces exactly once. Run
+// under -race.
 func TestSplitUnsplitChurn(t *testing.T) {
-	engineLeakGuard(t)
-	e := newWallEngine(t, passFilterNet(t), Config{Workers: 4})
+	e := newWallEngine(t, passFilterNet(t), Config{})
 	out := collectOutputs(e)
 	const total = 3000
 	var ingested atomic.Int64
@@ -588,73 +586,15 @@ func TestSplitUnsplitChurn(t *testing.T) {
 	}()
 
 	for ingested.Load() < total || e.QueuedTuples() > 0 {
-		e.RunParallel(4)
+		e.Run()
 	}
 	close(stop)
 	wg.Wait()
+	if sc, uc := e.SplitCounts(); sc == 0 || uc == 0 {
+		t.Errorf("SplitCounts = %d,%d: the loop never applied a request from the churn goroutine", sc, uc)
+	}
 	e.Drain()
 	if len(*out) != total {
 		t.Fatalf("churn lost or duplicated tuples: delivered %d of %d", len(*out), total)
-	}
-}
-
-// TestAutoSplitHotBoxLifecycle drives the controller end to end on the
-// serial wall-clock path: a standing backlog behind a splittable box
-// trips the hot predicate and splits it; a subsequent idle trickle trips
-// the cool predicate and folds it back. Output conservation holds across
-// both transitions.
-func TestAutoSplitHotBoxLifecycle(t *testing.T) {
-	e := newWallEngine(t, passFilterNet(t), Config{
-		StatsEvery: 1,
-		AutoSplit: &AutoSplitConfig{
-			Replicas: 2,
-			WindowNs: int64(200 * time.Microsecond),
-			HoldHot:  1,
-			HoldCool: 1,
-			Hot: stats.HotSpec{
-				WorkFrac: 0.001, // any measurable work while backlogged is "hot"
-				CoolFrac: 0.9,
-				MinQueue: 1,
-				Windows:  1,
-			},
-		},
-	})
-	if e.StatsStore() == nil {
-		t.Fatal("AutoSplit must provision a private stats store")
-	}
-	out := collectOutputs(e)
-	sent := 0
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if s, _ := e.SplitCounts(); s >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("controller never split the hot box (store=%v)", e.StatsStore().Names())
-		}
-		ingestAll(e, recurringTuples(int64(sent), 2000))
-		sent += 2000
-		e.RunUntilIdle(0)
-	}
-	// Cool down: trickle single tuples so the controller keeps sampling
-	// while the replicas sit idle.
-	for {
-		if _, u := e.SplitCounts(); u >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("controller never folded the split back")
-		}
-		e.Ingest("in", tuple(1, 1))
-		sent++
-		e.RunUntilIdle(0)
-		time.Sleep(300 * time.Microsecond)
-	}
-	if st, _ := e.BoxSplit("f"); st.Active {
-		t.Fatal("box still split after fold-back")
-	}
-	e.Drain()
-	if len(*out) != sent {
-		t.Fatalf("autosplit lifecycle lost tuples: %d of %d", len(*out), sent)
 	}
 }

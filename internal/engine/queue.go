@@ -23,10 +23,10 @@ const minQueueCap = 8
 
 // entryQueue is a growable-and-shrinkable FIFO ring of entries with byte
 // accounting, mirroring stream.Queue but carrying enqueue timestamps. All
-// operations are mutex-guarded: in parallel mode the owning worker pops
-// while upstream workers and external Ingest goroutines push, and the
-// handover through the lock is what gives span marks and tuple state their
-// happens-before edge between boxes.
+// operations are mutex-guarded: the run loop pops while external Ingest
+// goroutines push, and the handover through the lock is what gives span
+// marks and tuple state their happens-before edge from the ingesting
+// goroutine to the loop.
 //
 // The ring's capacity is always a power of two — the floor is 8, growth
 // doubles, Pop halves and PopTrain collapses to 2*DefaultMaxTrain — so a

@@ -6,14 +6,11 @@ const DefaultMaxTrain = 128
 
 // Scheduler determines which box to run next and how many of the tuples
 // waiting in front of it to process — the train-scheduling determination
-// of §2.3. Next returns (nil, 0, 0) when no eligible box has queued work.
-// free restricts the choice to boxes it reports true for: a box instance
-// is owned by at most one worker at a time, so the pool's dispatcher asks
-// for the best train among the boxes nobody is currently running. free ==
-// nil means every box is eligible (the serial case), which keeps the
-// execution policy swappable between Step and the pool.
+// of §2.3. Next returns (nil, 0, 0) when no box has queued work. Every box
+// of the current topology snapshot is a candidate, runtime split replicas
+// and merge boxes included.
 type Scheduler interface {
-	Next(e *Engine, free func(*boxState) bool) (b *boxState, port int, train int)
+	Next(e *Engine) (b *boxState, port int, train int)
 }
 
 // RoundRobinScheduler visits boxes cyclically, processing at most Train
@@ -34,14 +31,11 @@ func NewRoundRobinScheduler(train int) *RoundRobinScheduler {
 }
 
 // Next implements Scheduler.
-func (s *RoundRobinScheduler) Next(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
+func (s *RoundRobinScheduler) Next(e *Engine) (*boxState, int, int) {
 	topo := e.snap().boxes
 	n := len(topo)
 	for i := 0; i < n; i++ {
 		b := topo[(s.pos+i)%n]
-		if free != nil && !free(b) {
-			continue
-		}
 		for p, q := range b.inQ {
 			if q.Len() > 0 {
 				s.pos = (s.pos + i + 1) % n
@@ -68,13 +62,10 @@ func NewTrainScheduler(maxTrain int) *TrainScheduler {
 }
 
 // Next implements Scheduler.
-func (s *TrainScheduler) Next(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
+func (s *TrainScheduler) Next(e *Engine) (*boxState, int, int) {
 	var best *boxState
 	bestPort, bestLen := 0, 0
 	for _, b := range e.snap().boxes {
-		if free != nil && !free(b) {
-			continue
-		}
 		for p, q := range b.inQ {
 			if n := q.Len(); n > bestLen {
 				best, bestPort, bestLen = b, p, n
@@ -117,15 +108,12 @@ func NewQoSScheduler(maxTrain int, budget int64) *QoSScheduler {
 }
 
 // Next implements Scheduler.
-func (s *QoSScheduler) Next(e *Engine, free func(*boxState) bool) (*boxState, int, int) {
+func (s *QoSScheduler) Next(e *Engine) (*boxState, int, int) {
 	now := e.clock.Now()
 	var best *boxState
 	bestPort := 0
 	bestScore := -1.0
 	for _, b := range e.snap().boxes {
-		if free != nil && !free(b) {
-			continue
-		}
 		for p, q := range b.inQ {
 			n := q.Len()
 			if n == 0 {

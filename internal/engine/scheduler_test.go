@@ -126,7 +126,7 @@ func TestSchedulersIdleOnEmptyEngine(t *testing.T) {
 	for _, s := range []Scheduler{
 		NewRoundRobinScheduler(4), NewTrainScheduler(4), NewQoSScheduler(4, 100),
 	} {
-		if b, _, _ := s.Next(e, nil); b != nil {
+		if b, _, _ := s.Next(e); b != nil {
 			t.Errorf("%T should report idle", s)
 		}
 	}

@@ -61,8 +61,8 @@ type Shedder struct {
 	cfg ShedConfig
 
 	// mu guards the control-loop and policy state (rng, drop rate, value
-	// ring): in parallel mode ShouldDrop runs on ingest goroutines while
-	// Control runs on workers. The counters are atomic so telemetry
+	// ring): ShouldDrop runs on ingest goroutines while Control runs on
+	// the run loop. The counters are atomic so telemetry
 	// (/metrics, SampleStats, dspstat) reads a consistent snapshot without
 	// taking the policy lock.
 	mu        sync.Mutex

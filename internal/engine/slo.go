@@ -280,9 +280,9 @@ func trajSlope(pts []stats.Point, windowNs int64) float64 {
 }
 
 // sloWarn journals the early warning and, when tail evidence exists, the
-// bottleneck attribution chained on the same correlation id (the
-// autosplit cause→effect journaling pattern), annotating the flight
-// recorder so traces and journal join on one id.
+// bottleneck attribution chained on the same correlation id (cause →
+// effect), annotating the flight recorder so traces and journal join on
+// one id.
 func (e *Engine) sloWarn(name string, now int64, p99, predicted, cliff float64) {
 	corr := e.journal.NewCorr()
 	e.journal.Append(events.Event{

@@ -13,8 +13,8 @@ import (
 // connection point carries a spill, bytes past the budget land in segment
 // files; without one, the spill is modeled (counted) only.
 //
-// All accounting is atomic: in parallel mode every worker's deliveries
-// note their enqueues concurrently.
+// All accounting is atomic: ingest goroutines note their enqueues
+// concurrently with the run loop's, and telemetry reads the marks.
 type Storage struct {
 	budget       int
 	highWater    atomic.Int64 // all-time high-water mark

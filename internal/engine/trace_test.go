@@ -2,6 +2,7 @@ package engine
 
 import (
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/query"
@@ -127,6 +128,51 @@ func TestEngineTraceDerivedTuples(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineTraceQueueEndsAtServiceStart: within one traced multi-tuple
+// train, each tuple's queue stage closes at that tuple's own service
+// start, not at the train's start: tuple i+1 waits while tuple i is
+// processed, so its queue stage ends no earlier than tuple i's proc stage.
+// A wall clock that ticks on every read makes every stage non-empty and
+// the order exact.
+func TestEngineTraceQueueEndsAtServiceStart(t *testing.T) {
+	clk := &tickClock{}
+	tr := trace.NewTracer("n1", 1, trace.NewRecorder(256))
+	e := newWallEngine(t, filterNet(t), Config{Tracer: tr, Clock: clk})
+	spans := make([]*trace.Span, 8)
+	for i := range spans {
+		tp := tuple(int64(i), int64(i))
+		tp.TS = clk.Now()
+		spans[i] = tr.Sample(tp.TS)
+		tp.Span = spans[i]
+		e.Ingest("in", tp)
+	}
+	if steps := e.Run(); steps != 1 {
+		t.Fatalf("ran %d steps, want the 8 tuples as one train", steps)
+	}
+	stageEnd := func(sp *trace.Span, kind trace.Kind) int64 {
+		for _, st := range sp.Stages {
+			if st.Kind == kind && st.Name == "f" {
+				return st.Start + st.Dur
+			}
+		}
+		t.Fatalf("span %d has no %v stage at f: %+v", sp.ID, kind, sp.Stages)
+		return 0
+	}
+	for i := 0; i+1 < len(spans); i++ {
+		procEnd, queueEnd := stageEnd(spans[i], trace.KindProc), stageEnd(spans[i+1], trace.KindQueue)
+		if queueEnd < procEnd {
+			t.Errorf("tuple %d's queue stage ends at %d, before tuple %d's proc stage ends at %d: its wait was charged to proc",
+				i+1, queueEnd, i, procEnd)
+		}
+	}
+}
+
+// tickClock is a wall clock (not a *VirtualClock, so trains run on the
+// wall-clock path) that advances one nanosecond per read.
+type tickClock struct{ n atomic.Int64 }
+
+func (c *tickClock) Now() int64 { return c.n.Add(1) }
 
 // buildBenchEngine is the fixture for the overhead guard: a filter chain
 // on a virtual clock, tracing off or sampled 1-in-8.

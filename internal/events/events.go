@@ -1,7 +1,7 @@
 // Package events is the control-plane event journal: a fixed-memory ring
 // of typed, sequence-numbered events into which every decision-making
-// actor publishes what it did and why — engine split/unsplit (with the
-// hot-box predicate values that triggered them), load-manager offloads,
+// actor publishes what it did and why — engine split/unsplit, load-manager
+// offloads,
 // shedder engage/disengage, transport link transitions, HA replay
 // summaries, chaos fault injections.
 //
@@ -11,8 +11,8 @@
 // crashed SimNode keeps its journal, like a black box surviving the
 // airframe). Sequence numbers are per-journal and monotonic, so HTTP
 // clients can page with a cursor; correlation ids are node-salted like
-// trace span ids, so a cause (hot predicate firing) chains to its
-// effects (split installed) across the journal and the trace recorder.
+// trace span ids, so a cause (an SLO warning) chains to its effects (the
+// bottleneck it names) across the journal and the trace recorder.
 package events
 
 import (
@@ -31,10 +31,6 @@ const (
 	KindSplit Kind = iota + 1
 	// KindUnsplit: the engine folded a split back.
 	KindUnsplit
-	// KindHotBox: the autosplit hot predicate fired (cause of a split).
-	KindHotBox
-	// KindCoolBox: the autosplit cool predicate fired (cause of an unsplit).
-	KindCoolBox
 	// KindOffload: load management moved boxes to a neighbor.
 	KindOffload
 	// KindShedEngage: the shedder started dropping (drop rate left zero).
@@ -65,8 +61,6 @@ const (
 var kindNames = [...]string{
 	KindSplit:         "split",
 	KindUnsplit:       "unsplit",
-	KindHotBox:        "hotbox",
-	KindCoolBox:       "coolbox",
 	KindOffload:       "offload",
 	KindShedEngage:    "shed-engage",
 	KindShedDisengage: "shed-disengage",

@@ -11,8 +11,9 @@ import (
 	"repro/internal/stream"
 )
 
-// E21HotPath measures what train scheduling buys on the E18 workload
-// shape (filter -> map -> tumble chains), single worker, wall clock. The
+// E21HotPath measures what train scheduling buys on four independent
+// filter -> map -> tumble chains, on the engine's one run loop and the
+// wall clock. The
 // two rows run the identical network and input through the engine's one
 // train body; the only difference is the scheduler's train cap — 1 versus
 // the default — the knob the paper's §2.3 already has. The ratio column

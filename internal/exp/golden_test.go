@@ -10,8 +10,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/<ID>.golden from the current tables")
 
 // goldenIDs are the experiments whose scale-0.1 tables are deterministic:
-// virtual-time netsim and fixed seeds, no wall-clock cell. E01, E02, E18,
-// E18B, E19, E21 and E22 print measured wall time or throughput and are
+// virtual-time netsim and fixed seeds, no wall-clock cell. E01, E02,
+// E19, E21 and E22 print measured wall time or throughput and are
 // left out.
 var goldenIDs = map[string]bool{
 	"E03": true, "E04": true, "E05": true, "E06": true, "E07": true,

@@ -124,8 +124,6 @@ func Registry() []Experiment {
 		{"E14", "medusa economy", E14Economy},
 		{"E15", "remote definition", E15RemoteDefinition},
 		{"E16", "chaos fault schedules", E16Chaos},
-		{"E18", "parallel engine worker scaling", E18Parallel},
-		{"E18B", "runtime hot-box autosplit on Zipf keys", E18bAutoSplit},
 		{"E19", "observability plane overhead", E19Observability},
 		{"E20", "latency-SLO plane: sketches, forecast, attribution", E20LatencySLO},
 		{"E21", "train scheduling gain: train cap 1 vs default, one train body", E21HotPath},

@@ -273,9 +273,7 @@ func (n *Node) onOutputTrain(name string, ts []stream.Tuple) {
 		n.output(name, ts)
 	}
 	if r := n.routes[name]; r != nil {
-		n.outMu.Lock()
 		r.run = append(r.run, ts...)
-		n.outMu.Unlock()
 	}
 }
 
@@ -285,8 +283,6 @@ func (n *Node) onOutputTrain(name string, ts []stream.Tuple) {
 // is whatever the work already in hand produced.
 func (n *Node) runEngine() {
 	n.eng.Run()
-	n.outMu.Lock()
-	defer n.outMu.Unlock()
 	for name, r := range n.routes {
 		if len(r.run) == 0 {
 			continue

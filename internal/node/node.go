@@ -44,8 +44,8 @@ type Config struct {
 	Peers   map[string]string // -peer id=host:port
 	Routes  map[string]string // -route out=peer/stream
 	// Output, when set, sees every output run as it is emitted, routed or
-	// not (-print is a printer here). With -workers it is called from the
-	// pool's goroutines; ts is valid for the call only.
+	// not (-print is a printer here). It is called on the run loop, under
+	// the node's lock; ts is valid for the call only.
 	Output       func(name string, ts []stream.Tuple)
 	Quiet        bool                 // -quiet
 	Trace        int                  // -trace
@@ -54,8 +54,6 @@ type Config struct {
 	StatsWindows int                  // -stats-windows
 	Link         transport.LinkConfig // -link-ping, -link-buffer
 	HARoutes     bool                 // -ha-routes
-	Workers      int                  // -workers
-	AutoSplit    int                  // -autosplit
 	EventsBuf    int                  // -events-buf
 	DataDir      string               // -data-dir
 	SLO          bool                 // -slo
@@ -78,10 +76,10 @@ type Node struct {
 	tcp      *transport.TCP
 	send     func(peer string, m transport.Msg) error // the transport's Send
 
-	// mu serializes run-loop invocations (Step trains or one worker pool at
-	// a time; concurrent RunParallel calls are an engine panic). Ingest is
-	// engine-safe without it, but the handler takes it anyway so a serial
-	// engine behaves exactly as before.
+	// mu serializes the run loop: the engine's control methods, and with
+	// them the output hook and the routes' collected runs, only ever run
+	// under it. Ingest is engine-safe without it, but the handler takes it
+	// anyway so ingest and the run that follows it stay one step.
 	mu sync.Mutex
 	// more is the More of the inbound frame being handled, copied onto
 	// everything sent while handling it: a relay with another frame already
@@ -91,10 +89,6 @@ type Node struct {
 	// read a neighbouring frame's value: that costs one hand-off or one
 	// uncoalesced write, never a message.
 	more atomic.Bool
-	// outMu guards the routes' collected runs: with a worker pool, the
-	// engine's output hook fires from pool goroutines. It must be distinct
-	// from mu — the hook runs while the run loop holds mu.
-	outMu sync.Mutex
 
 	// HA-framed routes: each routed output gets a LinkSender that stamps,
 	// retains, and replays across reconnects; each inbound HA-framed
@@ -266,7 +260,7 @@ func (n *Node) openData(dir string) error {
 // engineConfig builds the engine's configuration, creating the stats
 // plane on the way when -stats asks for one.
 func (n *Node) engineConfig(cfg Config) engine.Config {
-	ecfg := engine.Config{Tracer: n.tracer, Workers: cfg.Workers, Journal: n.journal}
+	ecfg := engine.Config{Tracer: n.tracer, Journal: n.journal}
 	if n.mgr != nil {
 		// Every marked arc's history spills to disk past the memory
 		// budget instead of dropping, and a restarted node's ad hoc
@@ -290,14 +284,9 @@ func (n *Node) engineConfig(cfg Config) engine.Config {
 		ecfg.Stats = n.plane.Store()
 		ecfg.StatsEvery = 64
 	}
-	if cfg.AutoSplit > 0 {
-		// The controller rides the stats plane; without -stats the engine
-		// creates a private windowed store just for hot-box detection.
-		ecfg.AutoSplit = &engine.AutoSplitConfig{Replicas: cfg.AutoSplit}
-	}
 	if cfg.SLO {
-		// Defaults throughout; like autosplit, the plane builds a private
-		// windowed store when -stats is off.
+		// Defaults throughout; the plane builds a private windowed store
+		// when -stats is off.
 		ecfg.SLO = &engine.SLOConfig{}
 	}
 	return ecfg

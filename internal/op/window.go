@@ -2,6 +2,8 @@ package op
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 
 	"repro/internal/stream"
 )
@@ -198,13 +200,22 @@ type Slide struct {
 
 	groupIdx []int
 	orderIdx int
+	// intOrder is set when the order column is an int column (unix-ns
+	// timestamps, say): orders and the range are then compared as int64,
+	// because float64 cannot tell neighbours 1 apart above 2^53. iwidth is
+	// the integer range.
+	intOrder bool
+	iwidth   int64
 	groups   map[string][]slideEntry
 }
 
+// slideEntry is one retained tuple: order holds its order value for a
+// float column, iorder for an int column.
 type slideEntry struct {
-	order float64
-	val   stream.Value
-	seq   uint64
+	order  float64
+	iorder int64
+	val    stream.Value
+	seq    uint64
 }
 
 // NewSlide builds a Slide operator.
@@ -248,8 +259,8 @@ func buildSlide(s Spec) (Operator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var width float64
-	if _, err := fmt.Sscanf(widthStr, "%g", &width); err != nil || width <= 0 {
+	width, err := strconv.ParseFloat(widthStr, 64)
+	if err != nil || !(width > 0) || math.IsInf(width, 1) {
 		return nil, fmt.Errorf("slide: bad range %q", widthStr)
 	}
 	return &Slide{spec: s.Clone(), agg: agg, on: on, groupBy: groupBy,
@@ -280,6 +291,18 @@ func (sl *Slide) Bind(in []*stream.Schema) ([]*stream.Schema, error) {
 		return nil, fmt.Errorf("slide: no order attribute %q in %s", sl.orderCol, in[0])
 	}
 	sl.orderIdx = oi
+	sl.intOrder = in[0].Field(oi).Kind == stream.KindInt
+	if sl.intOrder {
+		// Over integers, order-old >= width holds exactly when
+		// order-old >= ceil(width); an integer range string is taken as
+		// written, without a float64 round trip.
+		sl.iwidth = math.MaxInt64
+		if w, err := strconv.ParseInt(sl.spec.Params["range"], 10, 64); err == nil {
+			sl.iwidth = w
+		} else if sl.width < math.MaxInt64 {
+			sl.iwidth = int64(math.Ceil(sl.width))
+		}
+	}
 	if err := sl.on.Bind(in[0]); err != nil {
 		return nil, fmt.Errorf("slide: %w", err)
 	}
@@ -303,12 +326,16 @@ func (sl *Slide) Bind(in []*stream.Schema) ([]*stream.Schema, error) {
 // Process implements Operator.
 func (sl *Slide) Process(_ int, t stream.Tuple, emit Emit) {
 	key := t.KeyOf(sl.groupIdx)
-	order := t.Field(sl.orderIdx).AsFloat()
-	entries := sl.groups[key]
-	entries = append(entries, slideEntry{order: order, val: sl.on.Eval(t), seq: t.Seq})
+	cur := slideEntry{val: sl.on.Eval(t), seq: t.Seq}
+	if sl.intOrder {
+		cur.iorder = t.Field(sl.orderIdx).AsInt()
+	} else {
+		cur.order = t.Field(sl.orderIdx).AsFloat()
+	}
+	entries := append(sl.groups[key], cur)
 	// Prune entries that fell out of the trailing window.
 	lo := 0
-	for lo < len(entries) && entries[lo].order <= order-sl.width {
+	for lo < len(entries) && sl.expired(entries[lo], cur) {
 		lo++
 	}
 	entries = entries[lo:]
@@ -324,6 +351,16 @@ func (sl *Slide) Process(_ int, t stream.Tuple, emit Emit) {
 	}
 	vals = append(vals, t.Field(sl.orderIdx), acc.Result())
 	emit(0, stream.Tuple{Seq: t.Seq, TS: t.TS, Vals: vals})
+}
+
+// expired reports whether old has left the trailing window that ends at
+// cur: cur's order is at least the range past old's.
+func (sl *Slide) expired(old, cur slideEntry) bool {
+	if sl.intOrder {
+		// The difference is taken in uint64, where it cannot overflow.
+		return old.iorder <= cur.iorder && uint64(cur.iorder)-uint64(old.iorder) >= uint64(sl.iwidth)
+	}
+	return old.order <= cur.order-sl.width
 }
 
 func init() {

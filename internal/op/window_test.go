@@ -81,6 +81,74 @@ func TestSlideTrailingWindow(t *testing.T) {
 	}
 }
 
+// TestSlideIntOrderNanosecondEdge: an int order column holding unix-ns
+// timestamps is compared as int64, so tuples 1 ns either side of a window
+// edge land on the right side of it. Above 2^53 float64 rounds to
+// multiples of 256 here, which once pruned a tuple 999 ns old from a
+// 1000 ns window.
+func TestSlideIntOrderNanosecondEdge(t *testing.T) {
+	const base = int64(1_700_000_000_000_000_000)
+	build := func(rng string) Operator {
+		o, err := Build(Spec{Kind: "slide", Params: map[string]string{
+			"agg": "cnt", "on": "B", "groupby": "A", "order": "B", "range": rng,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	cases := []struct {
+		name  string
+		rng   string
+		order []int64
+		want  []int64 // window count at each emission
+	}{
+		{"1ns inside the edge", "1000", []int64{base, base + 999}, []int64{1, 2}},
+		{"on the edge", "1000", []int64{base, base + 1000}, []int64{1, 1}},
+		{"1ns past the edge", "1000", []int64{base, base + 1001}, []int64{1, 1}},
+		{"range past 2^53", "9007199254740993", []int64{base, base + 9007199254740992}, []int64{1, 2}},
+		{"fractional range rounds up", "2.5", []int64{1, 3, 4}, []int64{1, 2, 2}},
+	}
+	for _, c := range cases {
+		out := feed(t, build(c.rng), fig2Schema, seqTuples(1, c.order...))
+		if len(out) != len(c.want) {
+			t.Fatalf("%s: %d outputs, want %d", c.name, len(out), len(c.want))
+		}
+		for i, tp := range out {
+			if tp.Field(1).AsInt() != c.order[i] {
+				t.Errorf("%s: emission %d carries order %d, want %d", c.name, i, tp.Field(1).AsInt(), c.order[i])
+			}
+			if got := tp.Field(2).AsInt(); got != c.want[i] {
+				t.Errorf("%s: emission %d window count = %d, want %d", c.name, i, got, c.want[i])
+			}
+		}
+	}
+}
+
+// TestSlideFloatOrder: a float order column keeps float semantics.
+func TestSlideFloatOrder(t *testing.T) {
+	schema := stream.MustSchema("f",
+		stream.Field{Name: "A", Kind: stream.KindInt},
+		stream.Field{Name: "T", Kind: stream.KindFloat})
+	sl := NewSlide(Cnt, NewCol("T"), []string{"A"}, "T", 2.5)
+	var in []stream.Tuple
+	for _, v := range []float64{1.0, 3.4, 3.5, 3.75} {
+		in = append(in, stream.NewTuple(stream.Int(1), stream.Float(v)))
+	}
+	out := feed(t, sl, schema, in)
+	// (T-2.5, T]: {1.0}, {1.0, 3.4}, {3.4, 3.5} (1.0 <= 1.0 pruned),
+	// {3.4, 3.5, 3.75}.
+	want := []int64{1, 2, 2, 3}
+	if len(out) != len(want) {
+		t.Fatalf("got %d outputs:\n%s", len(out), stream.FormatTuples(out))
+	}
+	for i, tp := range out {
+		if got := tp.Field(2).AsInt(); got != want[i] {
+			t.Errorf("emission %d count = %d, want %d", i, got, want[i])
+		}
+	}
+}
+
 func TestSlidePerGroup(t *testing.T) {
 	sl := NewSlide(Cnt, NewCol("B"), []string{"A"}, "B", 100)
 	in := []stream.Tuple{
@@ -110,10 +178,12 @@ func TestSlideOutputSchema(t *testing.T) {
 }
 
 func TestSlideValidation(t *testing.T) {
-	if _, err := Build(Spec{Kind: "slide", Params: map[string]string{
-		"agg": "sum", "on": "B", "groupby": "A", "order": "B", "range": "-1",
-	}}); err == nil {
-		t.Error("negative range should fail")
+	for _, rng := range []string{"-1", "0", "10abc", "NaN", "+Inf", ""} {
+		if _, err := Build(Spec{Kind: "slide", Params: map[string]string{
+			"agg": "sum", "on": "B", "groupby": "A", "order": "B", "range": rng,
+		}}); err == nil {
+			t.Errorf("range %q should fail", rng)
+		}
 	}
 	sl := NewSlide(Sum, NewCol("B"), []string{"A"}, "ghost", 5)
 	if _, err := sl.Bind([]*stream.Schema{fig2Schema}); err == nil {

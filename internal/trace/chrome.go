@@ -62,12 +62,6 @@ func ChromeTrace(events []Event) []byte {
 		if ev.TraceID != 0 {
 			ce.Args = map[string]any{"trace": ev.TraceID}
 		}
-		if ev.Worker != 0 {
-			if ce.Args == nil {
-				ce.Args = map[string]any{}
-			}
-			ce.Args["worker"] = ev.Worker
-		}
 		if ev.Replica != 0 {
 			if ce.Args == nil {
 				ce.Args = map[string]any{}

@@ -12,9 +12,8 @@ type Event struct {
 	Node    string `json:"node"`
 	Name    string `json:"name"`
 	Kind    Kind   `json:"kind"`
-	Start   int64  `json:"start"`            // ns
-	Dur     int64  `json:"dur"`              // ns, 0 for instantaneous marks
-	Worker  int    `json:"worker,omitempty"`  // engine worker id, 0 = serial path
+	Start   int64  `json:"start"`             // ns
+	Dur     int64  `json:"dur"`               // ns, 0 for instantaneous marks
 	Replica int    `json:"replica,omitempty"` // key-partition replica ordinal, 0 = unsplit
 }
 

@@ -66,13 +66,11 @@ type Stage struct {
 	Name  string // box id, link label, or output name
 	Start int64  // ns, in the clock domain the segment was measured in
 	Dur   int64  // ns
-	// Worker identifies which engine worker executed the segment (1-based;
-	// 0 means the serial path). Stage detail is node-local and never
-	// crosses the wire, so this field does not affect the codec.
-	Worker int
 	// Replica is the 1-based ordinal of the key-partition replica that
 	// executed the segment when the box was split (0 = an unsplit box),
 	// so a Chrome trace can show which shard a tuple's key landed on.
+	// Stage detail is node-local and never crosses the wire, so this
+	// field does not affect the codec.
 	Replica int
 }
 
@@ -104,20 +102,13 @@ type Span struct {
 // given component and advances the cursor. Zero-length segments update
 // the cursor but record no stage.
 func (s *Span) Mark(kind Kind, name string, now int64) {
-	s.MarkWorker(kind, name, 0, now)
+	s.MarkReplica(kind, name, 0, now)
 }
 
-// MarkWorker is Mark with worker attribution: the parallel engine stamps
-// each segment with the 1-based id of the worker that executed it, so a
-// Chrome trace can lane spans by worker and contention is visible.
-func (s *Span) MarkWorker(kind Kind, name string, worker int, now int64) {
-	s.MarkReplica(kind, name, worker, 0, now)
-}
-
-// MarkReplica is MarkWorker with key-partition attribution: segments
-// executed by a split box's replica carry the replica's 1-based ordinal,
-// so traces distinguish which shard served a tuple.
-func (s *Span) MarkReplica(kind Kind, name string, worker, replica int, now int64) {
+// MarkReplica is Mark with key-partition attribution: segments executed
+// by a split box's replica carry the replica's 1-based ordinal, so traces
+// distinguish which shard served a tuple.
+func (s *Span) MarkReplica(kind Kind, name string, replica int, now int64) {
 	if s == nil || s.done {
 		return
 	}
@@ -133,7 +124,7 @@ func (s *Span) MarkReplica(kind Kind, name string, worker, replica int, now int6
 		return
 	}
 	if d != 0 && len(s.Stages) < maxStages {
-		s.Stages = append(s.Stages, Stage{Kind: kind, Name: name, Start: s.Cursor, Dur: d, Worker: worker, Replica: replica})
+		s.Stages = append(s.Stages, Stage{Kind: kind, Name: name, Start: s.Cursor, Dur: d, Replica: replica})
 	}
 	s.Cursor = now
 }
@@ -232,7 +223,7 @@ func (t *Tracer) Complete(s *Span, output string, now int64) {
 	}
 	for _, st := range s.Stages {
 		t.rec.Add(Event{TraceID: s.ID, Node: t.node, Name: st.Name, Kind: st.Kind,
-			Start: st.Start, Dur: st.Dur, Worker: st.Worker, Replica: st.Replica})
+			Start: st.Start, Dur: st.Dur, Replica: st.Replica})
 	}
 	t.rec.Add(Event{TraceID: s.ID, Node: t.node, Name: output, Kind: KindDeliver,
 		Start: s.Birth, Dur: s.End - s.Birth})
