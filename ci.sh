@@ -32,15 +32,24 @@ echo "== split equivalence battery"
 # split-N equivalence tests, the replica scheduler pins, the randomized
 # split/unsplit churn storm with ingest racing the route flips, and the
 # engine's one concurrency contract: IngestTrain from another goroutine
-# while the run loop steps.
+# while the run loop steps. With them, run to completion across boxes:
+# the chaining engine against the unchained virtual-clock one on every
+# shape (chains, fan-out, union, connection point, split box, WSort,
+# Drain), the traced-train chunking, and the ownership cases at each of
+# the engine's Disown sites (fan-out, connection-point history and its
+# taps, the output hook) with a pooled Map in front.
 go test -race ./internal/op/ -run 'TestQuickSplit|TestSplitProfile' -count=1 -timeout 120s
-go test -race ./internal/engine/ -run 'Split|TestConcurrentIngest' -count=1 -timeout 180s
+go test -race ./internal/engine/ -run 'Split|TestConcurrentIngest|TestChain|TestOwnership' -count=1 -timeout 180s
 
 echo "== hot-path pins"
 # The train path's deterministic bargain, which runs everywhere: a warm
-# filter->map train — a full one and a train of one — must drain to the
-# output with zero allocations (pooled train buffers, pooled emission
-# buffers, pooled Vals), plus the kernel/codec zero-alloc pins and the
+# filter->map train — a full one and a train of one, chained from filter
+# into map — must drain to the output with zero allocations (pooled train
+# buffers, pooled emission buffers, pooled Vals); the chain's work pins
+# (one 128-tuple train through compute_sat's five boxes is one Step, only
+# the input box's queue ever holds a tuple, per-box exclusive work sums to
+# BusyNs and counts each nanosecond once); plus the kernel/codec zero-alloc
+# pins and the
 # kernel-vs-Process equivalence at train lengths 1, 2 and 256 (compute_sat's
 # five boxes among the cases). The compiled expressions' int64 lane is held
 # to Eval by the differential test over edge values (±2^53±1, MinInt64,
@@ -49,7 +58,7 @@ echo "== hot-path pins"
 # mask by its capacity pin. The speed itself is guarded from outside:
 # BENCHMARK.json's compute_sat workload (throughput_ktps, cpu_us_per_tuple)
 # saturates a core on this path.
-go test ./internal/engine/ -run 'TestTrainPathZeroAlloc|TestEntryQueuePowerOfTwoCapacity' -count=1 -v
+go test ./internal/engine/ -run 'TestTrainPathZeroAlloc|TestEntryQueuePowerOfTwoCapacity|TestChainWorkPins' -count=1 -v
 go test ./internal/op/ -run 'TestKernelEquivalence|KernelZeroAlloc|TestCompiledMatchesEval|Nanosecond' -count=1
 go test ./internal/stream/ -run 'TestValueCompare|TestValueOrdering' -count=1
 go test ./internal/transport/ -run 'TestDecodeInto|TestEncodeZeroAlloc' -count=1

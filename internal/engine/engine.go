@@ -77,8 +77,10 @@ type OutputTrainFn func(name string, ts []stream.Tuple)
 
 // Engine executes one node's piece of an Aurora query network with one
 // run loop: Step executes one scheduler decision at a time through the
-// train body, runTrain, per the paper's run-time model, so operators are
-// single-threaded. A node scales by adding nodes (§5), not threads.
+// train body, trainBody, per the paper's run-time model, so operators are
+// single-threaded; on the wall clock a train runs on through every plain
+// box it reaches (deliverTrain). A node scales by adding nodes (§5), not
+// threads.
 // Ingest is safe to call concurrently with a running loop; the control
 // methods (Step, Run, Drain, SplitBox) must not themselves be called from
 // multiple goroutines at once.
@@ -167,6 +169,11 @@ type Engine struct {
 	// push/pop so storage accounting never walks every queue.
 	qBytes atomic.Int64
 
+	// chainNs is the inclusive time of the train bodies chained inside
+	// the current train body so far; trainBody subtracts it to charge
+	// each box its exclusive time. Only the run loop touches it.
+	chainNs int64
+
 	onOutput OutputTrainFn
 	ingested atomic.Uint64
 	seq      atomic.Uint64
@@ -204,13 +211,22 @@ type boxState struct {
 	taps []atomic.Pointer[[]op.Emit]
 
 	virtCost int64
-	// cost is ns per tuple over the whole runTrain call: queue pop,
-	// operator, routing, downstream pushes and storage accounting.
+	// cost is the box's exclusive ns per tuple over its train body:
+	// operator, routing, downstream pushes and storage accounting, with
+	// the time of any train body chained inside it subtracted (a chained
+	// box charges its own). A popped train also pays its queue pop.
 	cost     *metrics.EWMA
-	wait     *metrics.EWMA // ns queueing delay
+	wait     *metrics.EWMA // ns queueing delay; a chained run waited 0
 	inCount  atomic.Int64
 	outCount atomic.Int64
-	workNs   atomic.Int64 // cumulative processing time (ns)
+	workNs   atomic.Int64 // cumulative exclusive processing time (ns)
+
+	// plain marks a box a delivery may run at once (see deliverTrain): no
+	// split, one input port fed by one upstream arc and bound to no
+	// external input, so only the run loop ever pushes into its queue.
+	// Set at construction and recomputed by split/unsplit; only the run
+	// loop reads or writes it.
+	plain bool
 
 	// replica is the 1-based ordinal of a key-partition replica box
 	// (0 for ordinary boxes), parentID names the split box a replica or
@@ -403,6 +419,9 @@ func New(net *query.Network, cfg Config) (*Engine, error) {
 		}
 	}
 
+	for _, b := range topo {
+		b.plain = e.plainBox(b)
+	}
 	e.snapPtr.Store(&topoSnap{boxes: topo, timed: timed, byID: boxes})
 
 	// Shedder, with per-box drop attribution: one counter per destination
@@ -448,6 +467,15 @@ func New(net *query.Network, cfg Config) (*Engine, error) {
 		e.lastSkWin = -1
 	}
 	return e, nil
+}
+
+// plainBox reports whether deliveries may chain into b: b is not split
+// and not part of a split, and has one input port, fed by exactly one
+// upstream arc and bound to no external input — so IngestTrain, which runs
+// on its caller's goroutine, never pushes into it.
+func (e *Engine) plainBox(b *boxState) bool {
+	return b.parentID == "" && b.part.Load() == nil && len(b.inQ) == 1 &&
+		len(e.net.Upstream(b.id)) == 1 && len(e.net.InputsOf(b.id)) == 0
 }
 
 // noteCPAdd charges a connection-point retention to storage accounting —
@@ -536,10 +564,10 @@ func (e *Engine) flushEmits(b *boxState) {
 
 // routeEmitTrain is the Router of Fig 3 over a same-port emission run:
 // connection-point history, ad hoc taps, the spans' processing mark, then
-// delivery to the downstream routes. The span mark is unconditional per
-// tuple — MarkReplica is nil-receiver-safe, and untraced trains can still re-emit span-carrying
-// tuples (WSort flushes buffered tuples admitted in earlier, traced
-// trains).
+// delivery to the downstream routes. The span check is per tuple, because
+// untraced trains can still re-emit span-carrying tuples (WSort flushes
+// buffered tuples admitted in earlier, traced trains); a run with a span
+// aboard, or any run under a virtual clock, is never chained.
 func (e *Engine) routeEmitTrain(b *boxState, port int, ts []stream.Tuple, now int64) {
 	if port < len(b.cpH) {
 		if h := b.cpH[port]; h != nil {
@@ -567,10 +595,14 @@ func (e *Engine) routeEmitTrain(b *boxState, port int, ts []stream.Tuple, now in
 			}
 		}
 	}
+	traced := false
 	for i := range ts {
-		ts[i].Span.MarkReplica(trace.KindProc, b.id, b.replica, now)
+		if sp := ts[i].Span; sp != nil {
+			sp.MarkReplica(trace.KindProc, b.id, b.replica, now)
+			traced = true
+		}
 	}
-	e.deliverTrain(b.downstream[port], ts, now)
+	e.deliverTrain(b.downstream[port], ts, now, !traced && e.vclock == nil)
 }
 
 // deliverTrain delivers a run of tuples to a set of targets, one target
@@ -580,7 +612,20 @@ func (e *Engine) routeEmitTrain(b *boxState, port int, ts []stream.Tuple, now in
 // mark and the monitor's latency observation share one timestamp — the
 // decomposition then sums to the monitored latency exactly, not merely
 // approximately.
-func (e *Engine) deliverTrain(targets []route, ts []stream.Tuple, now int64) {
+//
+// When chain is set (a span-free run emitted on the run loop under the
+// wall clock) and the run's only target is a plain box whose queue is
+// empty, the box's train body runs on the run at once, depth-first, in
+// place of the queue hop: run to completion across boxes, Nephele's task
+// chaining. The empty queue keeps per-(box, port) FIFO, and only the run
+// loop ever fills a plain box's queue, so the unlocked check is exact.
+func (e *Engine) deliverTrain(targets []route, ts []stream.Tuple, now int64, chain bool) {
+	if chain && len(targets) == 1 {
+		if r := targets[0]; r.box != nil && r.box.plain && r.box.inQ[0].idle() {
+			e.chainNs += e.trainBody(r.box, 0, ts, nil, e.clock.Now())
+			return
+		}
+	}
 	if len(targets) > 1 {
 		// Fan-out: every copy shares the Vals backing array, so no single
 		// death point can prove the buffer dead — surrender it to the GC.
@@ -750,7 +795,8 @@ func (e *Engine) IngestTrain(input string, ts []stream.Tuple) int {
 	if len(kept) == 0 {
 		return 0
 	}
-	e.deliverTrain(routes, kept, now)
+	// Never chained: this runs on the caller's goroutine, not the loop.
+	e.deliverTrain(routes, kept, now, false)
 	return len(kept)
 }
 
@@ -774,7 +820,9 @@ func (e *Engine) noteDrop() {
 
 // Step runs one scheduling decision: the scheduler picks a box and a
 // train, and the engine pushes that many waiting tuples through it
-// (train scheduling, §2.3). It reports whether any work was done.
+// (train scheduling, §2.3) — on the wall clock, on through every plain box
+// downstream that the train's runs reach (deliverTrain). It reports
+// whether any work was done.
 func (e *Engine) Step() bool {
 	b, port, n := e.sched.Next(e)
 	if b == nil || e.runTrain(b, port, n) == 0 {
@@ -788,55 +836,66 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// runTrain is the one train body: pop up to n tuples from the box's port
-// under one queue lock and push them through the operator. It returns the
-// number of tuples processed.
-//
-// The train executes in chunks. On a wall clock with no traced tuple
-// aboard the chunk is the whole train — one kernel dispatch, one emission
-// flush. Under a VirtualClock, or when any tuple carries a span, the chunk
-// is a single tuple, because both give each tuple its own instant: the
-// deterministic experiments depend on every tuple's marks and deliveries
-// landing at its own modeled completion time, and a traced tuple threads
-// its span to derived emissions through b.cur. All accounting is per
-// chunk — queue bytes released, queueing delay observed, queue stage
-// closed at the chunk's service start, clock advanced, emissions routed at
-// the chunk's completion — so chunk-of-one reproduces a per-tuple engine
-// exactly, and chunk-of-train pays every one of those costs once.
+// runTrain pops up to n tuples from the box's port under one queue lock
+// and runs them through the box's train body. It returns the number of
+// tuples processed.
 func (e *Engine) runTrain(b *boxState, port, n int) int {
 	start := e.clock.Now()
 	tb := getTrainBuf()
 	b.inQ[port].PopTrain(tb, n)
-	ts := tb.ts
-	if len(ts) == 0 {
-		putTrainBuf(tb)
-		return 0
+	processed := len(tb.ts)
+	if processed > 0 {
+		e.trainBody(b, port, tb.ts, tb, start)
 	}
-	chunk := len(ts)
-	if e.vclock != nil {
-		chunk = 1
-	} else {
-		for i := range ts {
-			if ts[i].Span != nil {
-				chunk = 1
-				break
+	putTrainBuf(tb)
+	return processed
+}
+
+// trainBody is the one train body: it pushes ts through the box's operator
+// and routes the emissions. A popped train comes with its queue entries in
+// tb (enqueue times and sizes parallel to ts); a chained run (tb == nil)
+// never entered a queue, so it waited 0 and releases no queue bytes. start
+// is the body's service start. trainBody returns its inclusive elapsed
+// time, chained bodies included, and charges the box its exclusive time.
+//
+// The train executes in chunks. On a wall clock a chunk is a maximal run
+// of untraced tuples — one kernel dispatch, one emission flush — and a
+// traced tuple is a chunk of its own, because it threads its span to
+// derived emissions through b.cur and closes its queue stage at its own
+// service start. Under a VirtualClock every chunk is a single tuple: the
+// deterministic experiments depend on every tuple's marks and deliveries
+// landing at its own modeled completion time. All accounting is per chunk
+// — queue bytes released, queueing delay observed, queue stage closed at
+// the chunk's service start, clock advanced, emissions routed at the
+// chunk's completion — so chunk-of-one reproduces a per-tuple engine
+// exactly, and a chunk of many pays every one of those costs once.
+func (e *Engine) trainBody(b *boxState, port int, ts []stream.Tuple, tb *trainBuf, start int64) int64 {
+	outer := e.chainNs
+	e.chainNs = 0
+	e.openEmit(b)
+	for lo := 0; lo < len(ts); {
+		hi := lo + 1
+		if e.vclock == nil && ts[lo].Span == nil {
+			for hi < len(ts) && ts[hi].Span == nil {
+				hi++
 			}
 		}
-	}
-	e.openEmit(b)
-	for lo := 0; lo < len(ts); lo += chunk {
-		c := ts[lo : lo+chunk]
-		bytes, wait := 0, 0.0
-		for i := lo; i < lo+chunk; i++ {
-			bytes += tb.size[i]
-			wait += float64(start - tb.enq[i])
+		c := ts[lo:hi]
+		wait := 0.0
+		if tb != nil {
+			bytes := 0
+			for i := lo; i < hi; i++ {
+				bytes += tb.size[i]
+				wait += float64(start - tb.enq[i])
+			}
+			// The storage manager reads the running total at every
+			// enqueue, so a chunk's bytes leave the account when the chunk
+			// starts, not when the train was popped.
+			e.qBytes.Add(int64(-bytes))
+			wait /= float64(len(c))
 		}
-		// The storage manager reads the running total at every enqueue, so
-		// a chunk's bytes leave the account when the chunk starts, not
-		// when the train was popped.
-		e.qBytes.Add(int64(-bytes))
-		b.wait.Observe(wait / float64(chunk))
-		b.inCount.Add(int64(chunk))
+		b.wait.Observe(wait)
+		b.inCount.Add(int64(len(c)))
 		if sp := c[0].Span; sp != nil { // only ever in a chunk of one
 			// Queue ends at this tuple's own service start, not the train
 			// start, so a long train does not smear earlier tuples'
@@ -863,23 +922,23 @@ func (e *Engine) runTrain(b *boxState, port, n int) int {
 		}
 		b.cur = nil
 		e.flushEmits(b)
+		lo = hi
 	}
 	e.closeEmit(b)
 	if b.consumes {
 		// The operator neither retained nor re-emitted its inputs: any
 		// pool-owned Vals among them died in this train.
-		for i := range ts {
-			ts[i].Recycle()
-		}
+		stream.RecycleTrain(ts)
 	}
-	processed := len(ts)
-	putTrainBuf(tb)
-	// Under a virtual clock elapsed is exactly processed*virtCost.
+	// Under a virtual clock nothing chains, so elapsed is exactly
+	// len(ts)*virtCost.
 	elapsed := e.clock.Now() - start
-	b.cost.Observe(float64(elapsed) / float64(processed))
-	b.workNs.Add(elapsed)
-	e.busyCtr.Add(elapsed)
-	return processed
+	self := elapsed - e.chainNs
+	e.chainNs = outer
+	b.cost.Observe(float64(self) / float64(len(ts)))
+	b.workNs.Add(self)
+	e.busyCtr.Add(self)
+	return elapsed
 }
 
 // noteStep closes one scheduling decision: the shedder's control loop,
@@ -1074,7 +1133,7 @@ func (e *Engine) QueuedBytes() int { return int(e.qBytes.Load()) }
 // current queue length.
 type BoxStats struct {
 	ID          string
-	Cost        float64 // ns per tuple over the whole train (see boxState.cost)
+	Cost        float64 // exclusive ns per tuple over the train body (see boxState.cost)
 	Wait        float64 // ns queueing delay
 	Selectivity float64 // out tuples per in tuple
 	Queued      int

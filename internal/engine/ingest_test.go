@@ -33,6 +33,26 @@ func multiFilterNet(t *testing.T, chains int) *query.Network {
 	return n
 }
 
+// multiChainNet is multiFilterNet with a map behind each filter, so on
+// the wall clock every filter run chains into its map.
+func multiChainNet(t *testing.T, chains int) *query.Network {
+	t.Helper()
+	b := query.NewBuilder("parc")
+	for i := 0; i < chains; i++ {
+		f, m := fmt.Sprintf("f%d", i), fmt.Sprintf("m%d", i)
+		b.AddBox(f, filterSpec("B >= 0")).
+			AddBox(m, mapSpec("A=A; B=B")).
+			Connect(f, m).
+			BindInput(fmt.Sprintf("in%d", i), tSchema, f, 0).
+			BindOutput(fmt.Sprintf("out%d", i), m, 0, nil)
+	}
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func newWallEngine(t *testing.T, net *query.Network, cfg Config) *Engine {
 	t.Helper()
 	e, err := New(net, cfg)
@@ -77,41 +97,52 @@ func TestConcurrentIngestWhileStepping(t *testing.T) {
 	// The Step loop with a concurrent producer: exercises the queue locks
 	// and atomic counters that make IngestTrain safe against a running
 	// loop, and per-input FIFO order through it. Meaningful under -race.
-	e := newWallEngine(t, multiFilterNet(t, 2), Config{})
-	s := newSink()
-	e.OnOutput(s.fn)
-	const per = 2000
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for j := 0; j < per; j++ {
-			e.Ingest("in0", tuple(0, int64(j)))
-			e.Ingest("in1", tuple(1, int64(j)))
-		}
-	}()
-	for {
-		worked := e.Step()
-		select {
-		case <-done:
-			if !worked && e.QueuedTuples() == 0 {
-				if got := s.total(); got != 2*per {
-					t.Fatalf("delivered %d, want %d", got, 2*per)
+	// In the chained network the producer also reads every queue under
+	// its lock (as telemetry does) while the loop checks the chained
+	// maps' queues without it.
+	for _, tc := range []struct {
+		name string
+		net  func(*testing.T, int) *query.Network
+	}{{"filters", multiFilterNet}, {"chained maps", multiChainNet}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newWallEngine(t, tc.net(t, 2), Config{})
+			s := newSink()
+			e.OnOutput(s.fn)
+			const per = 2000
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for j := 0; j < per; j++ {
+					e.Ingest("in0", tuple(0, int64(j)))
+					e.Ingest("in1", tuple(1, int64(j)))
+					_ = e.QueuedTuples()
 				}
-				if got := e.Ingested(); got != 2*per {
-					t.Fatalf("Ingested = %d, want %d", got, 2*per)
-				}
-				for i := 0; i < 2; i++ {
-					name := fmt.Sprintf("out%d", i)
-					for j, tp := range s.get(name) {
-						if tp.Field(1).AsInt() != int64(j) {
-							t.Fatalf("%s[%d] = %d (order broken)", name, j, tp.Field(1).AsInt())
+			}()
+			for {
+				worked := e.Step()
+				select {
+				case <-done:
+					if !worked && e.QueuedTuples() == 0 {
+						if got := s.total(); got != 2*per {
+							t.Fatalf("delivered %d, want %d", got, 2*per)
 						}
+						if got := e.Ingested(); got != 2*per {
+							t.Fatalf("Ingested = %d, want %d", got, 2*per)
+						}
+						for i := 0; i < 2; i++ {
+							name := fmt.Sprintf("out%d", i)
+							for j, tp := range s.get(name) {
+								if tp.Field(1).AsInt() != int64(j) {
+									t.Fatalf("%s[%d] = %d (order broken)", name, j, tp.Field(1).AsInt())
+								}
+							}
+						}
+						return
 					}
+				default:
 				}
-				return
 			}
-		default:
-		}
+		})
 	}
 }
 

@@ -244,6 +244,7 @@ func (e *Engine) SplitBox(id string, n int) error {
 
 	e.installPartition(b, p)
 	b.part.Store(p)
+	b.plain = e.plainBox(b)
 	p.mu.Lock()
 	p.active = true
 	// Sweep tuples that raced into the parent queue between the backlog
@@ -299,6 +300,7 @@ func (e *Engine) UnsplitBox(id string) error {
 	p.active = false
 	p.mu.Unlock()
 	b.part.Store(nil)
+	b.plain = e.plainBox(b)
 
 	// Drain in flow order: each replica's backlog and flush feed the
 	// merge head; each merge stage's backlog and flush feed the next.

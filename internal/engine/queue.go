@@ -49,6 +49,12 @@ func (q *entryQueue) Len() int {
 	return n
 }
 
+// idle reports whether the queue is empty without taking the lock. It is
+// exact only on the goroutine that makes every push and pop — the run
+// loop, for a plain box's queue (deliverTrain's chaining check); readers
+// elsewhere hold the lock and only read.
+func (q *entryQueue) idle() bool { return q.count == 0 }
+
 func (q *entryQueue) Bytes() int {
 	q.mu.Lock()
 	b := q.bytes

@@ -3,6 +3,8 @@ package op
 import (
 	"fmt"
 	"math"
+	"math/big"
+	"math/bits"
 
 	"repro/internal/stream"
 )
@@ -179,21 +181,60 @@ func (avgAgg) Combine() Aggregate {
 }
 func (avgAgg) ResultKind(stream.Kind) stream.Kind { return stream.KindFloat }
 
+// avgAcc sums int inputs exactly, in 128 bits (hi:lo, two's complement),
+// and rounds once when the result is read: a float64 running sum resolves
+// unix-ns values only to 256 ns per term, so avg over timestamps drifted
+// by microseconds. The first float input switches the accumulator to
+// float semantics, carrying the exact sum so far over as one rounded term.
 type avgAcc struct {
-	sum float64
-	n   int64
+	hi      int64
+	lo      uint64
+	f       float64
+	isFloat bool
+	n       int64
 }
 
 func (a *avgAcc) Add(v stream.Value) {
-	a.sum += v.AsFloat()
 	a.n++
+	if v.Kind() != stream.KindFloat && !a.isFloat {
+		// Every other kind reads as an int (bool as 0/1, the rest as 0),
+		// exactly as AsFloat reads it.
+		x := v.AsInt()
+		var carry uint64
+		a.lo, carry = bits.Add64(a.lo, uint64(x), 0)
+		a.hi += x>>63 + int64(carry)
+		return
+	}
+	if !a.isFloat {
+		a.isFloat = true
+		a.f, _ = a.exactSum().Float64()
+	}
+	a.f += v.AsFloat()
+}
+
+// exactSum returns the int sum as a big.Int.
+func (a *avgAcc) exactSum() *big.Int {
+	s := new(big.Int).SetInt64(a.hi)
+	s.Lsh(s, 64)
+	return s.Add(s, new(big.Int).SetUint64(a.lo))
 }
 
 func (a *avgAcc) Result() stream.Value {
 	if a.n == 0 {
 		return stream.Null()
 	}
-	return stream.Float(a.sum / float64(a.n))
+	if a.isFloat {
+		return stream.Float(a.f / float64(a.n))
+	}
+	if s := int64(a.lo); a.hi == s>>63 && s >= -1<<53 && s <= 1<<53 {
+		// The sum and the count are exact float64s, so one IEEE division
+		// rounds the mean once.
+		return stream.Float(float64(s) / float64(a.n))
+	}
+	q := new(big.Float).SetPrec(53).SetMode(big.ToNearestEven)
+	q.Quo(new(big.Float).SetInt(a.exactSum()), new(big.Float).SetInt64(a.n))
+	f, _ := q.Float64()
+	return stream.Float(f)
 }
 
 type firstAgg struct{}

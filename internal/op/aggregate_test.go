@@ -2,6 +2,7 @@ package op
 
 import (
 	"math"
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -165,5 +166,59 @@ func TestExtremesOverStrings(t *testing.T) {
 	}
 	if got := runAgg(Min, vals...); got.AsString() != "a" {
 		t.Errorf("min strings = %v", got)
+	}
+}
+
+// exactMean is the correctly rounded mean of ints, via big.Rat.
+func exactMean(xs []int64) float64 {
+	s := new(big.Int)
+	for _, x := range xs {
+		s.Add(s, big.NewInt(x))
+	}
+	f, _ := new(big.Rat).SetFrac(s, big.NewInt(int64(len(xs)))).Float64()
+	return f
+}
+
+// TestAvgIntExactNanosecond: avg over unix-ns timestamps sums exactly and
+// rounds once. A float64 running sum rounds every term to 256 ns and the
+// partial sums coarser still, so its mean of these ramps lands
+// microseconds off; the int sum must give the correctly rounded mean.
+// Sums past int64 (MaxInt64 twice) and negative ones are exact too.
+func TestAvgIntExactNanosecond(t *testing.T) {
+	const base = int64(1_700_000_000_123_456_789)
+	ramp := func(n int, step int64) []int64 {
+		xs := make([]int64, n)
+		for i := range xs {
+			xs[i] = base + int64(i)*step + int64(i%3)
+		}
+		return xs
+	}
+	cases := map[string][]int64{
+		"ns ramp":         ramp(1000, 1),
+		"µs ramp":         ramp(4096, 977),
+		"two timestamps":  {base, base + 1},
+		"past int64":      {math.MaxInt64, math.MaxInt64, math.MaxInt64 - 1},
+		"negative":        {math.MinInt64, math.MinInt64, -3},
+		"small exact":     {1, 2, 4},
+		"mixed sign tiny": {-7, 3},
+	}
+	for name, xs := range cases {
+		vals := make([]stream.Value, len(xs))
+		for i, x := range xs {
+			vals[i] = stream.Int(x)
+		}
+		got := runAgg(Avg, vals...)
+		if want := exactMean(xs); got.Kind() != stream.KindFloat || got.AsFloat() != want {
+			t.Errorf("%s: avg = %s, want %v (off by %v)", name, got.Format(), want, got.AsFloat()-want)
+		}
+	}
+	// Floats keep float semantics: the exact int prefix is carried over
+	// as one rounded term, then summed as floats.
+	if got := runAgg(Avg, stream.Int(1), stream.Float(2.5), stream.Int(3)); got.AsFloat() != 6.5/3 {
+		t.Errorf("avg(1, 2.5, 3) = %s, want %v", got.Format(), 6.5/3)
+	}
+	// Nulls count and add 0, as before.
+	if got := runAgg(Avg, stream.Int(4), stream.Null()); got.AsFloat() != 2 {
+		t.Errorf("avg(4, null) = %s, want 2", got.Format())
 	}
 }

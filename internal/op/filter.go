@@ -137,6 +137,9 @@ type Map struct {
 	names []string
 	exprs []Expr
 	fast  []valFn // compiled projections; set by Bind, used by ProcessTrain
+	// vals is ProcessTrain's scratch for a train's output Vals, drawn from
+	// the pool in one go and emptied as each output is emitted.
+	vals [][]stream.Value
 }
 
 // NewMap builds a Map from parallel name and expression lists.
@@ -244,9 +247,15 @@ func (m *Map) ProcessTrain(_ int, ts []stream.Tuple, emit Emit) {
 		}
 		return
 	}
+	if cap(m.vals) < len(ts) {
+		m.vals = make([][]stream.Value, len(ts))
+	}
+	vs := m.vals[:len(ts)]
+	stream.GetValsTrain(vs, len(m.fast))
 	for i := range ts {
 		t := &ts[i]
-		vals := stream.GetVals(len(m.fast))
+		vals := vs[i]
+		vs[i] = nil // the scratch must not pin an emitted tuple's Vals
 		for j, f := range m.fast {
 			vals[j] = f(t)
 		}

@@ -17,8 +17,8 @@ import "sync"
 // allocation the pool exists to remove. The engine's train buffers and
 // per-worker emit buffers are pointer-shaped and do use sync.Pool.
 const (
-	valsClassMin  = 4  // smallest class capacity
-	valsClasses   = 5  // 4, 8, 16, 32, 64
+	valsClassMin  = 4 // smallest class capacity
+	valsClasses   = 5 // 4, 8, 16, 32, 64
 	valsClassMax  = valsClassMin << (valsClasses - 1)
 	valsClassKeep = 1024 // retained slices per class; overflow goes to GC
 )
@@ -46,44 +46,95 @@ func valsClassFor(n int) int {
 // GetVals returns a value slice of length n, drawn from the pool when a
 // size class fits. The contents are zero values.
 func GetVals(n int) []Value {
-	if n == 0 {
-		return nil
-	}
-	ci := valsClassFor(n)
-	if ci < 0 {
-		return make([]Value, n)
-	}
-	p := &valsPool[ci]
-	p.mu.Lock()
-	if k := len(p.free); k > 0 {
-		v := p.free[k-1]
-		p.free[k-1] = nil
-		p.free = p.free[:k-1]
-		p.mu.Unlock()
-		return v[:n]
-	}
-	p.mu.Unlock()
-	return make([]Value, n, valsClassMin<<ci)
+	var one [1][]Value
+	GetValsTrain(one[:], n)
+	return one[0]
 }
 
-// PutVals returns a slice obtained from GetVals to its size class. The
-// slice is cleared first so pooled entries never pin strings from dead
-// tuples. Slices whose capacity matches no class (or whose class stack is
-// full) are dropped to the garbage collector.
-func PutVals(v []Value) {
-	c := cap(v)
-	if c < valsClassMin || c > valsClassMax || c&(c-1) != 0 {
+// GetValsTrain is GetVals for a train: it sets every dst[i] to a value
+// slice of length n, taking the class's freelist lock once for the whole
+// train instead of once per tuple.
+func GetValsTrain(dst [][]Value, n int) {
+	ci := valsClassFor(n)
+	if n == 0 || ci < 0 {
+		for i := range dst {
+			if n > 0 {
+				dst[i] = make([]Value, n)
+			} else {
+				dst[i] = nil
+			}
+		}
 		return
 	}
-	v = v[:c]
-	for i := range v {
-		v[i] = Value{}
-	}
-	ci := valsClassFor(c)
 	p := &valsPool[ci]
 	p.mu.Lock()
-	if len(p.free) < valsClassKeep {
-		p.free = append(p.free, v)
+	i := 0
+	for k := len(p.free); i < len(dst) && k > 0; i, k = i+1, k-1 {
+		dst[i] = p.free[k-1][:n]
+		p.free[k-1] = nil
+		p.free = p.free[:k-1]
 	}
 	p.mu.Unlock()
+	for ; i < len(dst); i++ {
+		dst[i] = make([]Value, n, valsClassMin<<ci)
+	}
+}
+
+// reclaim clears v to its full capacity, so pooled entries never pin
+// strings from dead tuples, and returns its size class — nil, leaving v
+// to the garbage collector, when its capacity matches no class.
+func reclaim(v []Value) *valsClass {
+	c := cap(v)
+	if c < valsClassMin || c > valsClassMax || c&(c-1) != 0 {
+		return nil
+	}
+	clear(v[:c])
+	return &valsPool[valsClassFor(c)]
+}
+
+// keep pushes a reclaimed slice onto the class's stack, or drops it to
+// the garbage collector when the stack is full; callers hold p.mu.
+func (p *valsClass) keep(v []Value) {
+	if len(p.free) < valsClassKeep {
+		p.free = append(p.free, v[:cap(v)])
+	}
+}
+
+// PutVals returns a slice obtained from GetVals to its size class.
+func PutVals(v []Value) {
+	if p := reclaim(v); p != nil {
+		p.mu.Lock()
+		p.keep(v)
+		p.mu.Unlock()
+	}
+}
+
+// RecycleTrain is Tuple.Recycle over a train: every pool-owned Vals in ts
+// goes back to its size class, and a run of tuples in one class takes
+// that class's freelist lock once.
+func RecycleTrain(ts []Tuple) {
+	var held *valsClass
+	for i := range ts {
+		t := &ts[i]
+		if !t.pooled {
+			continue
+		}
+		v := t.Vals
+		t.pooled, t.Vals = false, nil
+		p := reclaim(v)
+		if p == nil {
+			continue
+		}
+		if p != held {
+			if held != nil {
+				held.mu.Unlock()
+			}
+			p.mu.Lock()
+			held = p
+		}
+		p.keep(v)
+	}
+	if held != nil {
+		held.mu.Unlock()
+	}
 }

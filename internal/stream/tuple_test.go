@@ -157,3 +157,53 @@ func TestPooledValsRoundTrip(t *testing.T) {
 		t.Fatal("clone aliases the original Vals")
 	}
 }
+
+// TestPoolTrainForms: GetValsTrain and RecycleTrain are GetVals and
+// Recycle over a train under one lock. A recycled train's arrays come back
+// zeroed, each exactly once (no array handed out twice), and a train mixing
+// pooled, disowned and off-class tuples recycles only the pooled ones.
+func TestPoolTrainForms(t *testing.T) {
+	const n = 64
+	vs := make([][]Value, n)
+	GetValsTrain(vs, 3)
+	ts := make([]Tuple, n+2)
+	for i, v := range vs {
+		if len(v) != 3 || cap(v) != 4 {
+			t.Fatalf("slice %d has len %d cap %d, want 3 and class 4", i, len(v), cap(v))
+		}
+		v[0], v[1], v[2] = Int(int64(i)), String("x"), Float(1.5)
+		ts[i] = Tuple{Vals: v}
+		ts[i].MarkPooled()
+	}
+	ts[3].Disown()
+	ts[n] = Tuple{Vals: []Value{Int(1)}} // never pooled
+	ts[n+1] = Tuple{Vals: make([]Value, 3, 3)}
+	ts[n+1].MarkPooled() // pooled flag on an off-class array: dropped
+	kept := ts[3].Vals
+	RecycleTrain(ts)
+	for i := range ts {
+		if ts[i].Pooled() {
+			t.Fatalf("tuple %d still pooled after RecycleTrain", i)
+		}
+		if recycled := ts[i].Vals == nil; recycled != (i != 3 && i != n) {
+			t.Fatalf("tuple %d: recycled=%v", i, recycled)
+		}
+	}
+	if kept[0].AsInt() != 3 {
+		t.Fatal("a disowned tuple's Vals was cleared")
+	}
+	seen := map[*Value]bool{}
+	again := make([][]Value, n)
+	GetValsTrain(again, 4)
+	for i, v := range again {
+		if seen[&v[:1][0]] {
+			t.Fatalf("array %d handed out twice", i)
+		}
+		seen[&v[:1][0]] = true
+		for j := range v {
+			if v[j] != (Value{}) {
+				t.Fatalf("array %d slot %d not zeroed: %v", i, j, v[j])
+			}
+		}
+	}
+}
