@@ -14,6 +14,18 @@ go test ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== go test -tags poolcheck"
+# The ownership contracts made checkable: in a poolcheck build a recycled
+# Vals array is poisoned and never reused, and a scratch batch (the read
+# loop's Msg, a LinkSender's send batch, the output hook's run) is poisoned
+# when its call returns, so a reader that outlived its ownership panics at
+# its next read and the panic names the site that gave the memory up. The
+# whole suite runs under it (the allocation pins skip, since nothing is
+# reused), then the wall-clock TCP fault harness, which carries decoded,
+# pool-owned frames through the shipping node across kills and replays.
+go test -tags poolcheck ./...
+go run -tags poolcheck ./cmd/chaosrunner -tcp 5
+
 echo "== trace overhead guard"
 # Tracing disabled must stay a few predictable branches on the hot path:
 # the guard benchmarks the engine with tracing off vs. sampled-on and
@@ -37,15 +49,25 @@ echo "== split equivalence battery"
 # shape (chains, fan-out, union, connection point, split box, WSort,
 # Drain), the traced-train chunking, and the ownership cases at each of
 # the engine's Disown sites (fan-out, connection-point history and its
-# taps, the output hook) with a pooled Map in front.
+# taps, the output hook) with a pooled Map in front — and with decoded,
+# pool-owned frames in front (an HA replay that dedup trims, shedding at
+# ingest, an input feeding two boxes, a pass-through box to an output with
+# and without the hook, split admission, a Tumble emitter, a three-way
+# fan-out).
 go test -race ./internal/op/ -run 'TestQuickSplit|TestSplitProfile' -count=1 -timeout 120s
 go test -race ./internal/engine/ -run 'Split|TestConcurrentIngest|TestChain|TestOwnership' -count=1 -timeout 180s
+go test -race ./internal/transport/ -run 'TestOwnershipRecv' -count=1 -timeout 120s
 
 echo "== hot-path pins"
 # The train path's deterministic bargain, which runs everywhere: a warm
 # filter->map train — a full one and a train of one, chained from filter
 # into map — must drain to the output with zero allocations (pooled train
-# buffers, pooled emission buffers, pooled Vals); the chain's work pins
+# buffers, pooled emission buffers, pooled Vals); the receive edge's pins
+# (a 256-tuple frame decoded into the connection's Msg with pool-drawn Vals,
+# ingested and run through compute_sat's five boxes, allocates nothing; so
+# does a 64-tuple frame across a loopback TCP pair to an ingesting handler);
+# the durability pin (a disk spill under budget adds no spill append, no
+# spill byte and no allocation to the memory-only run); the chain's work pins
 # (one 128-tuple train through compute_sat's five boxes is one Step, only
 # the input box's queue ever holds a tuple, per-box exclusive work sums to
 # BusyNs and counts each nanosecond once); plus the kernel/codec zero-alloc
@@ -58,7 +80,8 @@ echo "== hot-path pins"
 # mask by its capacity pin. The speed itself is guarded from outside:
 # BENCHMARK.json's compute_sat workload (throughput_ktps, cpu_us_per_tuple)
 # saturates a core on this path.
-go test ./internal/engine/ -run 'TestTrainPathZeroAlloc|TestEntryQueuePowerOfTwoCapacity|TestChainWorkPins' -count=1 -v
+go test ./internal/engine/ -run 'TestTrainPathZeroAlloc|TestEntryQueuePowerOfTwoCapacity|TestChainWorkPins|TestDurabilityUnderBudgetPin' -count=1 -v
+go test ./internal/transport/ -run 'TestRecvEdge' -count=1 -v
 go test ./internal/op/ -run 'TestKernelEquivalence|KernelZeroAlloc|TestCompiledMatchesEval|Nanosecond' -count=1
 go test ./internal/stream/ -run 'TestValueCompare|TestValueOrdering' -count=1
 go test ./internal/transport/ -run 'TestDecodeInto|TestEncodeZeroAlloc' -count=1
@@ -101,13 +124,6 @@ echo "== durability"
 go test ./internal/storage/ -count=1 -timeout 120s
 go test -race ./internal/ha/ -run 'Durable|ResyncCorr' -count=1 -timeout 120s
 go test -race ./internal/chaos/ -run 'Restart' -count=1 -timeout 300s
-
-echo "== durability overhead guard"
-# The spill-on-evict bargain: with a disk spill attached to every
-# connection point but the history under its memory budget, the per-tuple
-# path must stay within 5% of the memory-only configuration. Durability
-# costs only when the alternative was dropping history.
-CI_DURABILITY_GUARD=1 go test ./internal/engine/ -run TestDurabilityOverheadGuard -count=1 -v
 
 echo "== train edge"
 # The train rule across the node boundary, under the race detector:

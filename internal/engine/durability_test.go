@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"os"
 	"testing"
 
 	"repro/internal/events"
@@ -238,29 +237,17 @@ func benchCPNet(b *testing.B) *query.Network {
 
 // benchIngestStepDurable drives the CP network with the memory budget
 // comfortably above the working set, with or without a disk spill
-// configured. Under budget the spill never sees an append — the guard
-// pins exactly that bargain.
+// configured, one Ingest and one Step per tuple. It prices the two
+// configurations by hand; TestDurabilityUnderBudgetPin pins their work.
 func benchIngestStepDurable(b *testing.B, durable bool) {
 	// Size the budget so the history window (budget/8) holds every tuple
 	// the loop will retain, with 2x slack: "under budget" must hold for
 	// the whole run or the spill path would measure eviction I/O instead
-	// of the attached-but-idle overhead the guard is about.
+	// of the attached-but-idle overhead.
 	t := tuple(1, 5)
 	cfg := Config{MemoryBudget: (b.N + 4096) * t.MemSize() * 8 * 2}
-	var mgr *storage.Manager
 	if durable {
-		var err error
-		if mgr, err = storage.Open(b.TempDir()); err != nil {
-			b.Fatal(err)
-		}
-		defer mgr.Close()
-		cfg.CPSpill = func(p query.Port) stream.Spill {
-			l, err := mgr.CPLog(p.Box)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return storage.NewCPSpill(l, 0)
-		}
+		cfg.CPSpill, _ = spillFactory(b)
 	}
 	e, err := New(benchCPNet(b), cfg)
 	if err != nil {
@@ -278,32 +265,79 @@ func benchIngestStepDurable(b *testing.B, durable bool) {
 func BenchmarkEngineCPMemoryOnly(b *testing.B) { benchIngestStepDurable(b, false) }
 func BenchmarkEngineCPDiskBacked(b *testing.B) { benchIngestStepDurable(b, true) }
 
-// TestDurabilityOverheadGuard is the CI fence for the durable state plane:
-// with a disk spill attached to every connection point but the history
-// under its memory budget, the per-tuple path must stay within 5% of the
-// memory-only configuration — spill-on-evict means a node under budget
-// pays for durability only when it would otherwise drop history. Gated
-// behind CI_DURABILITY_GUARD=1; best-of-3 alternating rounds damp noise.
-func TestDurabilityOverheadGuard(t *testing.T) {
-	if os.Getenv("CI_DURABILITY_GUARD") != "1" {
-		t.Skip("set CI_DURABILITY_GUARD=1 to run the durability overhead guard")
+// spillFactory returns an engine CPSpill factory over a fresh data
+// directory, and the segment logs it opens, one per connection point.
+func spillFactory(tb testing.TB) (func(query.Port) stream.Spill, *[]*storage.Log) {
+	mgr, err := storage.Open(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
 	}
-	testing.Benchmark(BenchmarkEngineCPMemoryOnly)
-	testing.Benchmark(BenchmarkEngineCPDiskBacked)
-	memNs, diskNs := 0.0, 0.0
-	for i := 0; i < 3; i++ {
-		mem := float64(testing.Benchmark(BenchmarkEngineCPMemoryOnly).NsPerOp())
-		disk := float64(testing.Benchmark(BenchmarkEngineCPDiskBacked).NsPerOp())
-		if memNs == 0 || mem < memNs {
-			memNs = mem
+	tb.Cleanup(func() { mgr.Close() })
+	var logs []*storage.Log
+	return func(p query.Port) stream.Spill {
+		l, err := mgr.CPLog(p.Box)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		if diskNs == 0 || disk < diskNs {
-			diskNs = disk
-		}
+		logs = append(logs, l)
+		return storage.NewCPSpill(l, 0)
+	}, &logs
+}
+
+// TestDurabilityUnderBudgetPin is the spill-on-evict bargain as exact
+// work: with a disk spill attached to the connection point but its
+// history under the memory budget, trains ingested and run as a node runs
+// them (IngestTrain, then Run to idle) append nothing to the spill, write
+// it no bytes, and allocate exactly what the memory-only configuration
+// allocates per train. Durability costs only when the alternative was
+// dropping history.
+func TestDurabilityUnderBudgetPin(t *testing.T) {
+	const trains, trainLen = 64, 64
+	train := make([]stream.Tuple, trainLen)
+	for i := range train {
+		train[i] = stream.Tuple{Seq: uint64(i + 1), TS: int64(i + 1),
+			Vals: []stream.Value{stream.Int(int64(i)), stream.Int(int64(i % 100))}}
 	}
-	t.Logf("memory-only: %.0f ns/op, disk-backed under budget: %.0f ns/op (%.1f%%)",
-		memNs, diskNs, (diskNs/memNs-1)*100)
-	if diskNs > memNs*1.05 {
-		t.Fatalf("disk-backed path %.0f ns/op exceeds 5%% over memory-only %.0f ns/op", diskNs, memNs)
+	// The history window (budget/8) holds every tuple both runs feed, with
+	// 2x slack, so nothing is ever evicted.
+	budget := (trains + 2) * trainLen * train[0].MemSize() * 8 * 2
+	run := func(durable bool) (allocs float64, logs []*storage.Log, e *Engine) {
+		cfg := Config{MemoryBudget: budget}
+		var opened *[]*storage.Log
+		if durable {
+			cfg.CPSpill, opened = spillFactory(t)
+		}
+		e = newWallEngine(t, cpNet(t), cfg)
+		e.OnOutput(func(string, stream.Tuple) {})
+		feed := func() {
+			e.IngestTrain("in", train)
+			e.Run()
+		}
+		allocs = testing.AllocsPerRun(trains, feed) // one warm-up call, then trains
+		if opened != nil {
+			logs = *opened
+		}
+		return allocs, logs, e
+	}
+	memAllocs, _, mem := run(false)
+	diskAllocs, logs, disk := run(true)
+	if len(logs) != 1 {
+		t.Fatalf("disk-backed run opened %d spill logs, want 1 (one connection point)", len(logs))
+	}
+	if got := logs[0].Appended(); got != 0 {
+		t.Errorf("an under-budget history appended %d tuples to its spill, want 0", got)
+	}
+	if got := logs[0].Bytes(); got != 0 {
+		t.Errorf("an under-budget history wrote %d spill bytes, want 0", got)
+	}
+	if mem.CPEvicted() != 0 || disk.CPEvicted() != 0 {
+		t.Fatalf("histories evicted %d / %d tuples; the pin needs both under budget", mem.CPEvicted(), disk.CPEvicted())
+	}
+	if raceDetectorEnabled || stream.PoolCheck {
+		t.Skip("alloc counts are not meaningful under the race detector or poolcheck")
+	}
+	if diskAllocs != memAllocs {
+		t.Errorf("disk-backed run allocates %.2f per %d-tuple train, memory-only %.2f: attaching a spill must add none",
+			diskAllocs, trainLen, memAllocs)
 	}
 }

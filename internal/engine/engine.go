@@ -756,6 +756,14 @@ func (e *Engine) SetRelayInput(name string) {
 // engine consumes ts — it stamps the tuples and compacts the admitted ones
 // in place — and returns how many were accepted (the rest were shed).
 // IngestTrain is safe to call concurrently with a running Step loop.
+//
+// A pool-owned tuple (Tuple.Pooled, e.g. one the TCP read loop decoded)
+// passes its Vals array to the engine, which recycles it where the tuple
+// dies — at a consuming box, a filter's drop, or an output with no hook —
+// and disowns it wherever another reference is made, exactly as for its
+// own Map's emissions. The caller must hold no other reference to such an
+// array; a shed tuple's array goes to the garbage collector. Tuples that
+// are not pool-owned stay the caller's: the engine never recycles them.
 func (e *Engine) IngestTrain(input string, ts []stream.Tuple) int {
 	routes, ok := e.inputs[input]
 	if !ok || len(ts) == 0 {
@@ -765,10 +773,6 @@ func (e *Engine) IngestTrain(input string, ts []stream.Tuple) int {
 	relay := e.relayIn[input]
 	kept := ts[:0]
 	for _, t := range ts {
-		// Ownership never crosses an engine boundary: whatever the caller
-		// hands in, the caller may still hold — the pool takes over only
-		// for buffers the engine's own operators draw from it.
-		t.Disown()
 		if t.TS == 0 {
 			t.TS = now
 		}

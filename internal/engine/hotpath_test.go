@@ -25,6 +25,9 @@ func TestTrainPathZeroAlloc(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("sync.Pool randomly drops Puts under the race detector; alloc counts are not meaningful")
 	}
+	if stream.PoolCheck {
+		t.Skip("poolcheck never reuses a recycled Vals array; alloc counts are not meaningful")
+	}
 	for _, tc := range []struct {
 		name  string
 		train int

@@ -214,6 +214,9 @@ var emitBufPool = sync.Pool{New: func() any {
 // neither a later chunk nor a parked buffer pins Vals backing arrays or
 // trace spans.
 func (eb *emitBuf) reset() {
+	// The runs were the output hook's and the chained bodies' for the
+	// call only (poolcheck poisons them and drops the slots).
+	eb.ts = stream.PoisonScratch(eb.ts)
 	for i := range eb.ts {
 		eb.ts[i] = stream.Tuple{}
 	}

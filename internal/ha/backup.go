@@ -68,6 +68,14 @@ func (l *OutputLog) Append(t stream.Tuple) stream.Tuple {
 	return l.appendTrainLocked(one[:])[0]
 }
 
+// endLoan ends the loan of the batch the last append returned: a
+// poolcheck build poisons its slots and never lends them again.
+func (l *OutputLog) endLoan() {
+	l.mu.Lock()
+	l.stamped = stream.PoisonScratch(l.stamped)
+	l.mu.Unlock()
+}
+
 func (l *OutputLog) appendTrainLocked(ts []stream.Tuple) []stream.Tuple {
 	out := l.stamped[:0]
 	for _, t := range ts {

@@ -63,6 +63,9 @@ func (s *LinkSender) SendTrain(ts []stream.Tuple) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_ = s.send(s.log.AppendTrain(ts))
+	if stream.PoolCheck {
+		s.log.endLoan()
+	}
 }
 
 // Send is SendTrain of one tuple.

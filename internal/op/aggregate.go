@@ -15,6 +15,9 @@ type Accumulator interface {
 	Add(v stream.Value)
 	// Result returns the aggregate of everything added so far.
 	Result() stream.Value
+	// Reset empties the state, as New would, so a windowed operator can
+	// reuse one accumulator across windows instead of allocating one each.
+	Reset()
 }
 
 // Aggregate is a factory for accumulators plus the split-transparency
@@ -97,6 +100,7 @@ type cntAcc struct{ n int64 }
 
 func (a *cntAcc) Add(stream.Value)     { a.n++ }
 func (a *cntAcc) Result() stream.Value { return stream.Int(a.n) }
+func (a *cntAcc) Reset()               { *a = cntAcc{} }
 
 type sumAgg struct{}
 
@@ -127,6 +131,8 @@ func (a *sumAcc) Add(v stream.Value) {
 	}
 	a.i += v.AsInt()
 }
+
+func (a *sumAcc) Reset() { *a = sumAcc{} }
 
 func (a *sumAcc) Result() stream.Value {
 	if a.isFloat {
@@ -164,6 +170,8 @@ func (a *extremeAcc) Add(v stream.Value) {
 	}
 }
 
+func (a *extremeAcc) Reset() { *a = extremeAcc{want: a.want} }
+
 func (a *extremeAcc) Result() stream.Value {
 	if !a.seen {
 		return stream.Null()
@@ -193,6 +201,8 @@ type avgAcc struct {
 	isFloat bool
 	n       int64
 }
+
+func (a *avgAcc) Reset() { *a = avgAcc{} }
 
 func (a *avgAcc) Add(v stream.Value) {
 	a.n++
@@ -267,6 +277,8 @@ func (a *edgeAcc) Add(v stream.Value) {
 	a.seen = true
 }
 
+func (a *edgeAcc) Reset() { *a = edgeAcc{keepFirst: a.keepFirst} }
+
 func (a *edgeAcc) Result() stream.Value {
 	if !a.seen {
 		return stream.Null()
@@ -310,6 +322,8 @@ func (a *stddevAcc) Add(v stream.Value) {
 	a.sum += f
 	a.sumSq += f * f
 }
+
+func (a *stddevAcc) Reset() { *a = stddevAcc{} }
 
 func (a *stddevAcc) Result() stream.Value {
 	if a.n == 0 {

@@ -91,7 +91,10 @@ func (f *Filter) Process(_ int, t stream.Tuple, emit Emit) {
 }
 
 // ProcessTrain implements TrainProcessor: the whole train runs through
-// the compiled predicate with one dispatch and zero allocations.
+// the compiled predicate with one dispatch and zero allocations. A tuple
+// the predicate drops dies here, so a pool-owned one goes back to the
+// freelist: only the engine's own trains carry the flag, and it disowns a
+// tuple before making any second reference to it.
 func (f *Filter) ProcessTrain(_ int, ts []stream.Tuple, emit Emit) {
 	pred := f.fast
 	if pred == nil { // unbound: preserve Process's tree-eval behavior
@@ -113,6 +116,8 @@ func (f *Filter) ProcessTrain(_ int, ts []stream.Tuple, emit Emit) {
 	for i := range ts {
 		if pred(&ts[i]) {
 			emit(0, ts[i])
+		} else {
+			ts[i].Recycle()
 		}
 	}
 }

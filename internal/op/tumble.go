@@ -138,10 +138,15 @@ func (tb *Tumble) sameGroup(t *stream.Tuple) bool {
 
 // openWindow starts a window at t, copying the group-by values into the
 // reused curVals backing (Values are copied by value, so recycling t's
-// Vals later cannot corrupt the window state).
+// Vals later cannot corrupt the window state). The accumulator is reused
+// across windows, reset rather than reallocated.
 func (tb *Tumble) openWindow(t *stream.Tuple) {
 	tb.open = true
-	tb.acc = tb.agg.New()
+	if tb.acc == nil {
+		tb.acc = tb.agg.New()
+	} else {
+		tb.acc.Reset()
+	}
 	tb.curVals = tb.curVals[:0]
 	for _, idx := range tb.groupIdx {
 		tb.curVals = append(tb.curVals, t.Field(idx))
@@ -204,7 +209,6 @@ func (tb *Tumble) emitWindow(emit Emit) {
 	out.MarkPooled()
 	emit(0, out)
 	tb.open = false
-	tb.acc = nil
 }
 
 // Aggregate returns the tumble's aggregate function; the splitter uses it

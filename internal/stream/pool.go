@@ -15,7 +15,13 @@ import "sync"
 // sync.Pool.Put boxes its argument, so putting a bare []Value would
 // allocate a 24-byte interface payload on every recycle — exactly the
 // allocation the pool exists to remove. The engine's train buffers and
-// per-worker emit buffers are pointer-shaped and do use sync.Pool.
+// emission buffers are pointer-shaped and do use sync.Pool.
+//
+// Three sources fill the freelist's arrays with tuples: Map draws a
+// train's outputs (GetValsTrain), Tumble a window's emission (GetVals),
+// and the TCP read loop a decoded frame's tuples (GetValsTrain, once per
+// frame). In a poolcheck build nothing is ever reused: a recycled array
+// is filled with poison and dropped (poison.go).
 const (
 	valsClassMin  = 4 // smallest class capacity
 	valsClasses   = 5 // 4, 8, 16, 32, 64
@@ -82,8 +88,13 @@ func GetValsTrain(dst [][]Value, n int) {
 
 // reclaim clears v to its full capacity, so pooled entries never pin
 // strings from dead tuples, and returns its size class — nil, leaving v
-// to the garbage collector, when its capacity matches no class.
+// to the garbage collector, when its capacity matches no class or the
+// build is poolcheck (v is then poisoned instead).
 func reclaim(v []Value) *valsClass {
+	if PoolCheck {
+		poisonRecycled(v)
+		return nil
+	}
 	c := cap(v)
 	if c < valsClassMin || c > valsClassMax || c&(c-1) != 0 {
 		return nil

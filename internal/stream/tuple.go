@@ -29,10 +29,13 @@ type Tuple struct {
 	Span *trace.Span
 
 	// pooled marks Vals as drawn from the package freelist (GetVals). Only
-	// the engine may act on it: a pooled tuple's backing array is returned
-	// via Recycle at the points where the tuple provably dies. Any code
-	// path that creates a second reference to Vals (fan-out, history
-	// retention, ad hoc taps, cross-engine ingest) must call Disown first.
+	// the engine and the kernels it runs may act on it: a pooled tuple's
+	// backing array is returned via Recycle at the points where the tuple
+	// provably dies (a consuming box, a filter's drop, an output with no
+	// hook). Any code path that creates a second reference to Vals
+	// (fan-out, history retention, ad hoc taps, the output hook) must call
+	// Disown first. A pooled tuple handed to engine.IngestTrain passes its
+	// array to that engine.
 	pooled bool
 }
 

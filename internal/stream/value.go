@@ -38,6 +38,8 @@ func (k Kind) String() string {
 		return "string"
 	case KindBool:
 		return "bool"
+	case kindPoison:
+		return "poison"
 	default:
 		return "invalid"
 	}
@@ -74,14 +76,27 @@ func Bool(v bool) Value {
 func Null() Value { return Value{} }
 
 // Kind reports the kind of the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
+	return v.kind
+}
 
 // IsNull reports whether the value is null.
-func (v Value) IsNull() bool { return v.kind == KindInvalid }
+func (v Value) IsNull() bool {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
+	return v.kind == KindInvalid
+}
 
 // AsInt returns the integer payload. It is valid only for KindInt and
 // KindBool values; other kinds return 0.
 func (v Value) AsInt() int64 {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
 	if v.kind == KindInt || v.kind == KindBool {
 		return v.i
 	}
@@ -91,6 +106,9 @@ func (v Value) AsInt() int64 {
 // AsFloat returns the value coerced to float64. Ints coerce losslessly for
 // magnitudes below 2^53; strings and nulls return 0.
 func (v Value) AsFloat() float64 {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
 	switch v.kind {
 	case KindFloat:
 		return v.f
@@ -103,6 +121,9 @@ func (v Value) AsFloat() float64 {
 
 // AsString returns the string payload, or "" for non-string kinds.
 func (v Value) AsString() string {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
 	if v.kind == KindString {
 		return v.s
 	}
@@ -112,6 +133,9 @@ func (v Value) AsString() string {
 // AsBool returns the boolean payload; non-bool kinds report false except
 // non-zero ints, which report true.
 func (v Value) AsBool() bool {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
 	switch v.kind {
 	case KindBool, KindInt:
 		return v.i != 0
@@ -121,7 +145,15 @@ func (v Value) AsBool() bool {
 }
 
 // Equal reports deep equality of two values, including kind.
-func (v Value) Equal(o Value) bool { return v == o }
+func (v Value) Equal(o Value) bool {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
+	if PoolCheck && o.kind == kindPoison {
+		o.poisoned()
+	}
+	return v == o
+}
 
 // Less reports whether v orders before o, per Compare.
 func (v Value) Less(o Value) bool { return v.Compare(o) < 0 }
@@ -135,6 +167,12 @@ func isNumeric(k Kind) bool { return k == KindInt || k == KindFloat }
 // float) uses float semantics so that sort attributes may mix the two; a
 // NaN orders with everything.
 func (v Value) Compare(o Value) int {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
+	if PoolCheck && o.kind == kindPoison {
+		o.poisoned()
+	}
 	if v.kind == KindInt && o.kind == KindInt {
 		return cmp.Compare(v.i, o.i)
 	}
@@ -167,6 +205,9 @@ func (v Value) GoString() string { return v.Format() }
 
 // Format renders the value as a short literal, e.g. 42, 2.5, "x", true.
 func (v Value) Format() string {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
 	switch v.kind {
 	case KindInt:
 		return strconv.FormatInt(v.i, 10)
@@ -189,6 +230,9 @@ const valueHeader = 16
 // MemSize returns the approximate in-memory footprint of the value in
 // bytes, used by the storage manager's buffer accounting.
 func (v Value) MemSize() int {
+	if PoolCheck && v.kind == kindPoison {
+		v.poisoned()
+	}
 	return valueHeader + len(v.s)
 }
 

@@ -218,12 +218,23 @@ func Decode(src []byte) (Msg, int, error) {
 // slot's Vals array, the Ctrl buffer, and (by comparison, not copy) the
 // Stream string. Decoded data still never aliases src.
 //
-// Ownership contract: the caller must own m exclusively and must not
-// retain references into m's slices across calls — a consumer that hands
-// tuples onward (as the TCP read loop's handler does) must use Decode,
-// which starts from a zero Msg and therefore hands out fresh storage. On
-// error m's contents are unspecified.
-func DecodeInto(m *Msg, src []byte) (int, error) {
+// Ownership contract: the caller must own m exclusively, including every
+// Vals array its tuple slots point at, and must not retain references into
+// m's slices across calls. The TCP read loop does not use it: it hands
+// each frame's Vals arrays to its handler, so it decodes with decodeFrame,
+// which draws fresh arrays from the stream pool instead of reusing the
+// slots'. On error m's contents are unspecified.
+func DecodeInto(m *Msg, src []byte) (int, error) { return decodeFrame(m, src, nil) }
+
+// decodeFrame is the one decoder. With draw nil it is DecodeInto. With
+// draw set it is the TCP read loop's decode: it reuses m's Tuples slice,
+// Ctrl buffer and Stream as DecodeInto does, but never a slot's Vals, since
+// the previous frame's arrays went to the handler. Each tuple's Vals is
+// drawn from the stream pool instead — one GetValsTrain per frame, sized by
+// the first tuple's arity, into the caller's reused *draw — and marked
+// pool-owned, so an engine that ingests the tuple can recycle the array
+// when the tuple dies.
+func decodeFrame(m *Msg, src []byte, draw *[][]stream.Value) (int, error) {
 	if len(src) == 0 {
 		return 0, fmt.Errorf("transport: empty buffer")
 	}
@@ -287,8 +298,12 @@ func DecodeInto(m *Msg, src []byte) (int, error) {
 		} else {
 			ts = make([]stream.Tuple, count)
 		}
+		pooled := draw != nil
+		if pooled {
+			drawVals(ts, src[pos:], draw)
+		}
 		for i := range ts {
-			used, err := decodeTupleInto(&ts[i], src[pos:])
+			used, err := decodeTupleInto(&ts[i], src[pos:], pooled)
 			if err != nil {
 				return 0, fmt.Errorf("transport: tuple %d: %w", i, err)
 			}
@@ -318,17 +333,48 @@ func DecodeInto(m *Msg, src []byte) (int, error) {
 	return pos, nil
 }
 
+// drawVals points every slot of ts at a Vals array from the stream pool,
+// taking the size class's lock once for the frame. The arrays are sized by
+// the first tuple's arity, which src (the encoded batch) starts with; a
+// tuple of another arity that does not fit swaps its array in
+// decodeTupleInto. An arity that the batch's bytes could not hold for
+// every tuple is corrupt, and draws nothing, so a hostile header cannot
+// make the draw allocate.
+func drawVals(ts []stream.Tuple, src []byte, draw *[][]stream.Value) {
+	arity := uint64(0)
+	if _, n := binary.Uvarint(src); n > 0 {
+		if _, k := binary.Varint(src[n:]); k > 0 {
+			if a, j := binary.Uvarint(src[n+k:]); j > 0 && a <= uint64(len(src)) && a*uint64(len(ts)) <= uint64(len(src)) {
+				arity = a
+			}
+		}
+	}
+	d := *draw
+	if cap(d) < len(ts) {
+		d = make([][]stream.Value, len(ts))
+	}
+	d = d[:len(ts)]
+	stream.GetValsTrain(d, int(arity))
+	for i := range ts {
+		ts[i].Vals = d[i]
+	}
+	clear(d) // the arrays now belong to the slots
+	*draw = d
+}
+
 func decodeTuple(src []byte) (stream.Tuple, int, error) {
 	var t stream.Tuple
-	pos, err := decodeTupleInto(&t, src)
+	pos, err := decodeTupleInto(&t, src, false)
 	return t, pos, err
 }
 
 // decodeTupleInto parses one tuple into t, reusing t's previous Vals
 // backing when its capacity fits the incoming arity. Everything else in
 // the slot (Span, provenance) is reset first, so a reused slot carries
-// nothing over but the buffer.
-func decodeTupleInto(t *stream.Tuple, src []byte) (int, error) {
+// nothing over but the buffer. With pooled set the backing is a pool
+// array (drawVals): one that is too small goes back for one that fits,
+// and the tuple is marked pool-owned.
+func decodeTupleInto(t *stream.Tuple, src []byte, pooled bool) (int, error) {
 	vals := t.Vals[:0]
 	*t = stream.Tuple{}
 	pos := 0
@@ -354,7 +400,12 @@ func decodeTupleInto(t *stream.Tuple, src []byte) (int, error) {
 		return 0, fmt.Errorf("truncated values")
 	}
 	if uint64(cap(vals)) < arity {
-		vals = make([]stream.Value, 0, arity)
+		if pooled {
+			stream.PutVals(vals)
+			vals = stream.GetVals(int(arity))[:0]
+		} else {
+			vals = make([]stream.Value, 0, arity)
+		}
 	}
 	for i := uint64(0); i < arity; i++ {
 		if pos >= len(src) {
@@ -401,6 +452,9 @@ func decodeTupleInto(t *stream.Tuple, src []byte) (int, error) {
 		}
 	}
 	t.Vals = vals
+	if pooled {
+		t.MarkPooled()
+	}
 	return pos, nil
 }
 

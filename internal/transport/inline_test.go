@@ -331,7 +331,7 @@ func TestInlineBusyLinkKeepsSchedulerOrder(t *testing.T) {
 	var got []string
 	var scratch []byte
 	for len(got) < len(want) {
-		m, err := readFrame(peer, &scratch)
+		m, err := readMsg(peer, &scratch)
 		if err != nil {
 			t.Fatalf("after %d of %d queued frames: %v", len(got), len(want), err)
 		}
@@ -450,7 +450,7 @@ func killConnRound(t *testing.T, killAfter int64) {
 		defer close(readDone)
 		var scratch []byte
 		for {
-			m, err := readFrame(peer, &scratch)
+			m, err := readMsg(peer, &scratch)
 			if err != nil {
 				return
 			}
@@ -656,4 +656,15 @@ func TestWFQSteadyStateZeroAlloc(t *testing.T) {
 			t.Errorf("%s enqueue→next allocates %.2f per message once warm", name, avg)
 		}
 	}
+}
+
+// readMsg reads and decodes one frame with the copying Decode, so the
+// test may keep the message.
+func readMsg(r io.Reader, scratch *[]byte) (Msg, error) {
+	body, err := readFrame(r, scratch)
+	if err != nil {
+		return Msg{}, err
+	}
+	m, _, err := Decode(body)
+	return m, err
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/events"
+	"repro/internal/stream"
 )
 
 // helloStream is the reserved logical stream used for the connection
@@ -37,7 +38,18 @@ const maxFrame = 16 << 20
 // more — so it bounds memory and WFQ reordering latency, not delay.
 const ioBatchBytes = 64 << 10
 
-// Handler receives messages delivered by the TCP transport.
+// Handler receives messages delivered by the TCP transport, one call per
+// inbound frame, on the connection's read loop.
+//
+// The Msg is the connection's scratch, decoded into again for the next
+// frame: its Tuples slice and Ctrl buffer are valid only during the call,
+// and a handler that keeps either must copy it. The tuples' Vals arrays
+// are not scratch: each frame's arrays are drawn from the stream pool,
+// marked pool-owned, and handed to the handler, which either ingests the
+// tuples into an engine (engine.IngestTrain takes the ownership over, and
+// recycles each array when its tuple dies) or keeps them and leaves the
+// arrays to the garbage collector. A handler must never do both with one
+// tuple, nor ingest it twice.
 type Handler func(from string, m Msg)
 
 // TCP multiplexes all logical message streams to each peer onto a single
@@ -651,17 +663,26 @@ func (c *Conn) writePass(inline bool) error {
 
 func (c *Conn) readLoop() {
 	idle := c.t.cfg.ReadIdleTimeout
-	// One frame buffer per connection, reused across frames: Decode
-	// copies everything out of the body, so nothing the handler retains
-	// can alias it. The socket is read through a buffer, so one read(2)
-	// brings in every frame the peer's write carried.
-	var frame []byte
+	// One frame buffer, one Msg and one draw slice per connection, reused
+	// across frames: decodeFrame copies everything out of the body, so
+	// nothing the handler retains can alias it, and draws each frame's Vals
+	// arrays from the stream pool for the handler to take. The socket is
+	// read through a buffer, so one read(2) brings in every frame the
+	// peer's write carried.
+	var (
+		frame []byte
+		m     Msg
+		draw  [][]stream.Value
+	)
 	br := bufio.NewReaderSize(c.nc, ioBatchBytes)
 	for {
 		if idle > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(idle))
 		}
-		m, err := readFrame(br, &frame)
+		body, err := readFrame(br, &frame)
+		if err == nil {
+			_, err = decodeFrame(&m, body, &draw)
+		}
 		if err != nil {
 			c.close()
 			return
@@ -681,6 +702,7 @@ func (c *Conn) readLoop() {
 		if c.t.handler != nil {
 			c.t.handler(c.peer, m)
 		}
+		m.Tuples = stream.PoisonScratch(m.Tuples) // the handler's loan ends here
 	}
 }
 
@@ -716,29 +738,32 @@ func (c *Conn) pingLoop(period time.Duration) {
 	}
 }
 
-// readFrame reads one length-prefixed frame, growing *scratch as needed
-// and reusing it across calls; the decoded Msg never aliases the scratch.
-func readFrame(r io.Reader, scratch *[]byte) (Msg, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return Msg{}, err
+// readFrame reads one length-prefixed frame and returns its body, held in
+// *scratch, which it grows as needed and reuses across calls: the body is
+// valid until the next call. The length prefix is read into the scratch
+// too, since a local array would escape through the io.Reader.
+func readFrame(r io.Reader, scratch *[]byte) ([]byte, error) {
+	buf := *scratch
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 512)
+		*scratch = buf
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(buf[:4])
 	if n == 0 || n > maxFrame {
-		return Msg{}, fmt.Errorf("transport: bad frame length %d", n)
+		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
-	body := *scratch
-	if uint32(cap(body)) < n {
-		body = make([]byte, n)
-		*scratch = body
-	} else {
-		body = body[:n]
+	if uint32(cap(buf)) < n {
+		buf = make([]byte, n)
+		*scratch = buf
 	}
+	body := buf[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return Msg{}, err
+		return nil, err
 	}
-	m, _, err := Decode(body)
-	return m, err
+	return body, nil
 }
 
 func writeHello(nc net.Conn, id string) error {
@@ -752,7 +777,11 @@ func writeHello(nc net.Conn, id string) error {
 
 func readHello(nc net.Conn) (string, error) {
 	var scratch []byte
-	m, err := readFrame(nc, &scratch)
+	body, err := readFrame(nc, &scratch)
+	if err != nil {
+		return "", err
+	}
+	m, _, err := Decode(body)
 	if err != nil {
 		return "", err
 	}

@@ -14,9 +14,14 @@ type sink struct {
 	from []string
 }
 
+// handler keeps every message. The Msg's Tuples and Ctrl are the read
+// loop's scratch, valid only for the call, so it keeps copies of them; the
+// tuples' Vals arrays were handed over and are kept as they are.
 func (s *sink) handler(from string, m Msg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	m.Tuples = append([]stream.Tuple(nil), m.Tuples...)
+	m.Ctrl = append([]byte(nil), m.Ctrl...)
 	s.msgs = append(s.msgs, m)
 	s.from = append(s.from, from)
 }
